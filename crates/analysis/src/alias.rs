@@ -139,6 +139,11 @@ pub fn may_alias(
 ) -> bool {
     let pa = resolve_pointer(module, func, a);
     let pb = resolve_pointer(module, func, b);
+    may_alias_resolved(&pa, size_a, &pb, size_b)
+}
+
+/// [`may_alias`] over pointers already traced by [`resolve_pointer`].
+pub fn may_alias_resolved(pa: &PtrInfo, size_a: u64, pb: &PtrInfo, size_b: u64) -> bool {
     if pa.base != pb.base {
         // Two *different identified* objects never alias; an identified
         // object also cannot alias an unrelated alloca. Anything involving

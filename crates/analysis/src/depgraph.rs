@@ -1,15 +1,15 @@
 //! Block-level dependence information.
 //!
-//! For a single basic block this computes, per instruction, its memory
-//! access summary and its intra-block SSA dependences, plus the pairwise
-//! "must keep order" conflicts between memory operations. This is the
-//! foundation of the loop-rolling scheduling analysis (§IV-D).
+//! For a single basic block this computes, per instruction position, its
+//! transitive intra-block SSA dependences and the memory operations it must
+//! keep its order with, each as a [`PosSet`]. This is the foundation of the
+//! loop-rolling scheduling analysis (§IV-D).
 
 use std::collections::HashMap;
 
 use rolag_ir::{BlockId, Effects, Function, InstExtra, InstId, Module, Opcode, ValueDef, ValueId};
 
-use crate::alias::may_alias;
+use crate::alias::{may_alias_resolved, resolve_pointer, PtrInfo};
 
 /// Memory behaviour of one instruction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,18 +62,35 @@ pub fn mem_access(module: &Module, func: &Function, inst: InstId) -> Option<MemA
     }
 }
 
-/// Do `a` and `b` conflict (at least one writes, and their footprints may
-/// overlap)? Conflicting pairs must retain their program order.
-pub fn conflicts(module: &Module, func: &Function, a: InstId, b: InstId) -> bool {
-    let (Some(ma), Some(mb)) = (mem_access(module, func, a), mem_access(module, func, b)) else {
-        return false;
-    };
-    if !(ma.writes || mb.writes) {
-        return false;
+/// A memory access with its pointer already traced to a base object, so
+/// pairwise conflict tests do not re-walk `gep` chains.
+#[derive(Debug, Clone, Copy)]
+struct ResolvedAccess {
+    writes: bool,
+    /// Resolved footprint; `None` = the whole world.
+    loc: Option<(PtrInfo, u64)>,
+}
+
+impl ResolvedAccess {
+    fn new(module: &Module, func: &Function, access: MemAccess) -> Self {
+        ResolvedAccess {
+            writes: access.writes,
+            loc: access
+                .loc
+                .map(|(ptr, size)| (resolve_pointer(module, func, ptr), size)),
+        }
     }
-    match (ma.loc, mb.loc) {
-        (Some((pa, sa)), Some((pb, sb))) => may_alias(module, func, pa, sa, pb, sb),
-        _ => true, // unknown footprint conflicts with everything
+
+    /// Do the two accesses conflict (at least one writes, and their
+    /// footprints may overlap)? Conflicting pairs keep their program order.
+    fn conflicts_with(&self, other: &ResolvedAccess) -> bool {
+        if !(self.writes || other.writes) {
+            return false;
+        }
+        match (&self.loc, &other.loc) {
+            (Some((pa, sa)), Some((pb, sb))) => may_alias_resolved(pa, *sa, pb, *sb),
+            _ => true, // unknown footprint conflicts with everything
+        }
     }
 }
 
@@ -110,15 +127,39 @@ impl PosSet {
         }
         changed
     }
+    /// Does `self ∩ other` hold a position in `lo..hi`? Whole-word
+    /// operations; an empty range (`lo >= hi`) never meets.
+    pub fn meets_in(&self, other: &PosSet, lo: usize, hi: usize) -> bool {
+        if lo >= hi {
+            return false;
+        }
+        let (first, last) = (lo / 64, (hi - 1) / 64);
+        (first..=last).any(|w| {
+            let mut mask = !0u64;
+            if w == first {
+                mask &= !0 << (lo % 64);
+            }
+            if w == last {
+                mask &= !0 >> (63 - (hi - 1) % 64);
+            }
+            self.words[w] & other.words[w] & mask != 0
+        })
+    }
+    /// Does `self ∩ other` hold any position?
+    pub fn meets(&self, other: &PosSet) -> bool {
+        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
+    }
     /// Iterates set positions in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(w, &bits)| {
-            (0..64).filter_map(move |b| {
-                if bits >> b & 1 == 1 {
-                    Some(w * 64 + b)
-                } else {
-                    None
+            let mut rest = bits;
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
                 }
+                let b = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                Some(w * 64 + b)
             })
         })
     }
@@ -133,8 +174,9 @@ pub struct BlockDeps {
     /// `deps[i]` = positions that instruction `i` transitively depends on
     /// (SSA operands within the block, closed transitively).
     deps: Vec<PosSet>,
-    /// Conflicting memory-op position pairs `(earlier, later)`.
-    mem_conflicts: Vec<(usize, usize)>,
+    /// `conflicts[i]` = positions of the memory operations that must keep
+    /// their order relative to `i` (symmetric; empty for non-memory ops).
+    conflicts: Vec<PosSet>,
 }
 
 impl BlockDeps {
@@ -161,22 +203,27 @@ impl BlockDeps {
                             set.insert(p);
                             // Transitive closure: defs are processed in
                             // order, so deps[p] is already complete.
-                            let prior = deps[p].clone();
-                            set.union_with(&prior);
+                            set.union_with(&deps[p]);
                         }
                     }
                 }
             }
             deps.push(set);
         }
-        let mut mem_conflicts = Vec::new();
-        let mem_positions: Vec<usize> = (0..n)
-            .filter(|&i| mem_access(module, func, insts[i]).is_some())
+        // Resolve each memory op's footprint once; the pairwise sweep then
+        // compares resolved pointers only.
+        let mem_ops: Vec<(usize, ResolvedAccess)> = (0..n)
+            .filter_map(|i| {
+                let access = mem_access(module, func, insts[i])?;
+                Some((i, ResolvedAccess::new(module, func, access)))
+            })
             .collect();
-        for (k, &i) in mem_positions.iter().enumerate() {
-            for &j in &mem_positions[k + 1..] {
-                if conflicts(module, func, insts[i], insts[j]) {
-                    mem_conflicts.push((i, j));
+        let mut conflicts = vec![PosSet::new(n); n];
+        for (k, (i, ai)) in mem_ops.iter().enumerate() {
+            for (j, aj) in &mem_ops[k + 1..] {
+                if ai.conflicts_with(aj) {
+                    conflicts[*i].insert(*j);
+                    conflicts[*j].insert(*i);
                 }
             }
         }
@@ -184,7 +231,7 @@ impl BlockDeps {
             insts,
             pos,
             deps,
-            mem_conflicts,
+            conflicts,
         }
     }
 
@@ -209,14 +256,23 @@ impl BlockDeps {
         self.deps[later].contains(earlier)
     }
 
-    /// All `(earlier, later)` conflicting memory-op position pairs.
-    pub fn mem_conflicts(&self) -> &[(usize, usize)] {
-        &self.mem_conflicts
+    /// All `(earlier, later)` conflicting memory-op position pairs, sorted.
+    pub fn mem_conflicts(&self) -> Vec<(usize, usize)> {
+        self.conflicts
+            .iter()
+            .enumerate()
+            .flat_map(|(i, set)| set.iter().filter(move |&j| j > i).map(move |j| (i, j)))
+            .collect()
     }
 
     /// The transitive SSA dependence set of position `i`.
     pub fn dep_set(&self, i: usize) -> &PosSet {
         &self.deps[i]
+    }
+
+    /// The positions whose memory operations conflict with position `i`'s.
+    pub fn conflict_set(&self, i: usize) -> &PosSet {
+        &self.conflicts[i]
     }
 }
 
@@ -355,5 +411,51 @@ entry:
         assert!(t.union_with(&s));
         assert!(!t.union_with(&s));
         assert!(t.contains(0) && t.contains(5));
+    }
+
+    fn set_of(n: usize, positions: &[usize]) -> PosSet {
+        let mut s = PosSet::new(n);
+        for &p in positions {
+            s.insert(p);
+        }
+        s
+    }
+
+    #[test]
+    fn pos_set_iter_walks_word_edges() {
+        let edges = [0, 63, 64, 127, 128];
+        assert_eq!(set_of(200, &edges).iter().collect::<Vec<_>>(), edges);
+        assert_eq!(PosSet::new(200).iter().count(), 0);
+        let full: Vec<usize> = (0..130).collect();
+        assert_eq!(set_of(130, &full).iter().collect::<Vec<_>>(), full);
+    }
+
+    #[test]
+    fn pos_set_meets_in_respects_range_ends() {
+        let all = set_of(200, &(0..200).collect::<Vec<_>>());
+        for p in [0, 63, 64, 127, 128] {
+            let s = set_of(200, &[p]);
+            assert!(s.meets_in(&all, p, p + 1), "{p} in [{p}, {})", p + 1);
+            assert!(s.meets_in(&all, 0, 200));
+            assert!(!s.meets_in(&all, 0, p), "{p} not below itself");
+            assert!(!s.meets_in(&all, p + 1, 200), "{p} not above itself");
+            assert!(!s.meets_in(&PosSet::new(200), 0, 200), "{p}: empty other");
+        }
+        let s = set_of(200, &[63, 64, 128]);
+        // Empty ranges never meet.
+        assert!(!s.meets_in(&all, 64, 64));
+        assert!(!s.meets_in(&all, 100, 10));
+        // `hi` on a word boundary excludes the next word's first bit.
+        assert!(!s.meets_in(&all, 65, 128));
+        assert!(s.meets_in(&all, 65, 129));
+        assert!(s.meets_in(&all, 0, 64));
+        assert!(!s.meets_in(&all, 0, 63));
+        // The range spans a middle word without set bits.
+        assert!(set_of(200, &[0, 199]).meets_in(&all, 0, 200));
+        assert!(!set_of(200, &[0, 199]).meets_in(&all, 1, 199));
+        // Intersection, not union: disjoint sets never meet.
+        assert!(!s.meets_in(&set_of(200, &[62, 65, 127]), 0, 200));
+        assert!(s.meets(&set_of(200, &[128])));
+        assert!(!s.meets(&set_of(200, &[127])));
     }
 }

@@ -216,6 +216,12 @@ fn csv_rows(r: &CorpusReport, copts: &CorpusOptions) -> Vec<String> {
     rows
 }
 
+/// Throughput floor for `perf.funcs_per_sec` at `--jobs 1`. The set-based
+/// scheduling analysis rolls the 4000-function stream at ~185 funcs/s on
+/// a 2-vCPU x86-64 VM where the pairwise analysis it replaced managed
+/// ~89; the floor sits between the two with room for slower hosts.
+const FUNCS_PER_SEC_FLOOR: f64 = 100.0;
+
 /// Schema of `BENCH_corpus.json`: the members the acceptance criteria
 /// and the CI gate read, with their types, plus the floors. Extra
 /// members are allowed.
@@ -265,8 +271,8 @@ fn check_bench(path: &str) -> Result<(), String> {
     num(perf, "perf", "wall_ns")?;
 
     // Floors: the run must have actually rolled something, panicked on
-    // nothing, parsed everything, saved bytes, and stayed inside the
-    // declared memory budget.
+    // nothing, parsed everything, saved bytes, kept up the throughput
+    // floor, and stayed inside the declared memory budget.
     let changed = num(rolling, "rolling", "changed_functions")?;
     if changed < 1.0 {
         return Err(format!(
@@ -298,8 +304,10 @@ fn check_bench(path: &str) -> Result<(), String> {
         ));
     }
     let fps = num(perf, "perf", "funcs_per_sec")?;
-    if fps <= 0.0 {
-        return Err(format!("{path}: perf.funcs_per_sec {fps} must be positive"));
+    if fps < FUNCS_PER_SEC_FLOOR {
+        return Err(format!(
+            "{path}: perf.funcs_per_sec {fps} below the {FUNCS_PER_SEC_FLOOR} floor"
+        ));
     }
     let rss = num(perf, "perf", "peak_rss_bytes")?;
     if rss > 0.0 && rss > mem_budget {

@@ -139,7 +139,9 @@ impl Diagnostic {
                 out.push_str("\n  ");
                 out.push_str(text);
                 out.push_str("\n  ");
-                let col = (self.col.max(1) as usize - 1).min(text.len());
+                // The caret pads by bytes; clamp a column that lands inside
+                // a multi-byte character to that character's start.
+                let col = text.floor_char_boundary(self.col.max(1) as usize - 1);
                 for c in text[..col].chars() {
                     out.push(if c == '\t' { '\t' } else { ' ' });
                 }
@@ -302,5 +304,22 @@ mod tests {
             message: "truncated".into(),
         };
         assert_eq!(no_span.render(""), "a.rlir: error: truncated");
+    }
+
+    #[test]
+    fn diagnostic_caret_clamps_to_a_char_boundary() {
+        // Column 3 is byte 2, the second byte of the two-byte 'é'.
+        let d = Diagnostic {
+            origin: "a.rir".into(),
+            line: 1,
+            col: 3,
+            message: "bad".into(),
+        };
+        assert_eq!(d.render("aéb"), "a.rir:1:3: error: bad\n  aéb\n   ^");
+        let past_end = Diagnostic { col: 40, ..d };
+        assert_eq!(
+            past_end.render("aéb"),
+            "a.rir:1:40: error: bad\n  aéb\n     ^"
+        );
     }
 }

@@ -89,6 +89,19 @@ fn verify_only_accepts_good_ir_and_rejects_bad() {
 }
 
 #[test]
+fn diagnostic_inside_a_multibyte_character_does_not_panic() {
+    // examples/ir/axpy.rir cut at byte 46 ends just past the comment's em
+    // dash; the parse error's column, counted in chars, lands inside it as
+    // a byte offset.
+    let axpy = include_bytes!("../../../examples/ir/axpy.rir");
+    let cut = std::str::from_utf8(&axpy[..46]).expect("the cut ends on a char boundary");
+    let (_, stderr, code) = run(&["--verify-only", "-"], cut);
+    assert_eq!(code, Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("<stdin>:1:"), "no diagnostic: {stderr}");
+    assert!(stderr.contains('^'), "no caret: {stderr}");
+}
+
+#[test]
 fn unroll_then_reroll_round_trips() {
     let loop_ir = r#"
 module "rt"

@@ -155,6 +155,12 @@ impl AlignGraph {
         self.claimed.get(&inst).copied()
     }
 
+    /// Every claimed instruction with its `(node, lane)`, in unspecified
+    /// order.
+    pub fn claims(&self) -> impl Iterator<Item = (InstId, (NodeId, usize))> + '_ {
+        self.claimed.iter().map(|(&inst, &claim)| (inst, claim))
+    }
+
     /// The set of instructions the rolled loop replaces (claimed lanes plus
     /// reduction-tree internals).
     pub fn graph_insts(&self) -> HashSet<InstId> {

@@ -13,21 +13,18 @@
 //! * the values consumed by mismatching/identical/recurrence-init lanes
 //!   must be available in the preheader (in particular, they must not
 //!   themselves be rolled away).
+//!
+//! Externals are classified row by row with whole-word [`PosSet`]
+//! operations over the block's dependence and conflict sets, and the
+//! constraints among them are closed by one backward and one forward sweep
+//! (DESIGN.md, "Scheduling analysis").
 
 use std::collections::{HashMap, HashSet};
 
-use rolag_analysis::depgraph::BlockDeps;
+use rolag_analysis::depgraph::{BlockDeps, PosSet};
 use rolag_ir::{BlockId, Function, InstId, Module, Opcode};
 
 use crate::align::{AlignGraph, NodeKind};
-
-/// Where an external instruction is placed relative to the rolled loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Side {
-    Unknown,
-    Before,
-    After,
-}
 
 /// A valid placement produced by the analysis.
 #[derive(Debug, Clone)]
@@ -55,14 +52,11 @@ pub fn analyze(
     }
     let deps = BlockDeps::compute(module, func, block);
     let n = deps.len();
-    let conflict_set: HashSet<(usize, usize)> = deps.mem_conflicts().iter().copied().collect();
-    let pos_of = |inst: InstId| deps.position(inst);
 
     // Sanity: every graph instruction is in this block.
-    let mut in_graph = vec![false; n];
+    let mut in_graph = PosSet::new(n);
     for &g in &graph_insts {
-        let p = pos_of(g)?;
-        in_graph[p] = true;
+        in_graph.insert(deps.position(g)?);
     }
 
     // --- availability of loop inputs ---------------------------------------
@@ -106,7 +100,7 @@ pub fn analyze(
         }
     }
     let uses = func.compute_uses();
-    for (&inst, &(node, lane)) in &graph.claimed {
+    for (inst, (node, lane)) in graph.claims() {
         let result = func.inst_result(inst);
         for &(user, _) in uses.of(result) {
             if let Some((user_node, user_lane)) = graph.claim_of(user) {
@@ -137,138 +131,97 @@ pub fn analyze(
 
     // --- memory order inside the graph --------------------------------------
     // New execution order: iterations (lanes) outermost, emission order of
-    // nodes within an iteration.
-    let emission = graph.emission_order();
-    let node_order: HashMap<_, _> = emission
-        .iter()
+    // nodes within an iteration. Every conflicting claimed pair a < b must
+    // keep its order; pairs with an external end are classified below.
+    let node_order: HashMap<_, _> = graph
+        .emission_order()
+        .into_iter()
         .enumerate()
-        .map(|(k, &id)| (id, k))
+        .map(|(k, id)| (id, k))
         .collect();
-    let mut new_key: HashMap<usize, (usize, usize)> = HashMap::new();
-    for (&inst, &(node, lane)) in &graph.claimed {
-        if let Some(p) = pos_of(inst) {
-            new_key.insert(p, (lane, node_order[&node]));
+    let mut new_key = vec![None; n];
+    for (inst, (node, lane)) in graph.claims() {
+        if let Some(p) = deps.position(inst) {
+            new_key[p] = Some((lane, node_order[&node]));
         }
     }
-    for &(a, b) in deps.mem_conflicts() {
-        match (new_key.get(&a), new_key.get(&b)) {
-            (Some(ka), Some(kb))
-                // a < b originally; the rolled order must agree.
-                if ka >= kb => {
-                    return None;
-                }
-            _ => {} // handled by the external classification below
+    for (a, ka) in new_key.iter().enumerate() {
+        let Some(ka) = ka else { continue };
+        let later = deps.conflict_set(a).iter().filter(|&b| b > a);
+        if later.filter_map(|b| new_key[b]).any(|kb| *ka >= kb) {
+            return None;
         }
     }
 
     // --- classify external instructions -------------------------------------
-    let mut side = vec![Side::Unknown; n];
+    // SSA: an external the graph depends on goes before; one that depends
+    // on the graph goes after. Memory: a conflict with a later (earlier)
+    // graph instruction keeps the external before (after) the loop. Phis
+    // stay at the block head; the terminator ends the exit block.
     let term = *func.block(block).insts.last()?;
-    for p in 0..n {
-        if in_graph[p] {
-            continue;
-        }
+    let mut graph_deps = PosSet::new(n);
+    for g in in_graph.iter() {
+        graph_deps.union_with(deps.dep_set(g));
+    }
+    let mut before = PosSet::new(n);
+    let mut after = PosSet::new(n);
+    for p in (0..n).filter(|&p| !in_graph.contains(p)) {
         let inst = deps.insts[p];
-        let data = func.inst(inst);
         if inst == term {
-            side[p] = Side::After;
+            after.insert(p);
             continue;
         }
-        if data.opcode == Opcode::Phi {
-            side[p] = Side::Before; // phis must stay at the block head
-        }
-        let mut before = side[p] == Side::Before;
-        let mut after = false;
-        #[allow(clippy::needless_range_loop)] // parallel index into two tables
-        for g in 0..n {
-            if !in_graph[g] {
-                continue;
-            }
-            // SSA: graph depends on external -> external goes before;
-            //      external depends on graph -> external goes after.
-            if g > p && deps.depends_on(g, p) {
-                before = true;
-            }
-            if p > g && deps.depends_on(p, g) {
-                after = true;
-            }
-            // Memory: conflicting pairs keep their original order.
-            let conflict = conflict_set.contains(&(p.min(g), p.max(g)));
-            if conflict {
-                if p < g {
-                    before = true;
-                } else {
-                    after = true;
-                }
-            }
-        }
-        side[p] = match (before, after) {
+        let conflicts = deps.conflict_set(p);
+        let pulled_before = func.inst(inst).opcode == Opcode::Phi
+            || graph_deps.contains(p)
+            || conflicts.meets_in(&in_graph, p + 1, n);
+        let pulled_after = deps.dep_set(p).meets(&in_graph) || conflicts.meets_in(&in_graph, 0, p);
+        match (pulled_before, pulled_after) {
             (true, true) => return None, // pulled both ways
-            (true, false) => Side::Before,
-            (false, true) => Side::After,
-            (false, false) => Side::Unknown,
-        };
+            (true, false) => before.insert(p),
+            (false, true) => after.insert(p),
+            (false, false) => {}
+        }
     }
 
     // --- propagate constraints among externals -------------------------------
-    // For external p < q with q depending on p (SSA) or conflicting memory:
-    // placement must keep p before q, so (After, Before) is impossible and
-    // Before pulls its suppliers Before / After pushes its dependents After.
-    let ext_pairs: Vec<(usize, usize)> = {
-        let mut pairs = Vec::new();
-        for q in 0..n {
-            if in_graph[q] {
-                continue;
-            }
-            #[allow(clippy::needless_range_loop)] // parallel index
-            for p in 0..q {
-                if in_graph[p] {
-                    continue;
-                }
-                let dep = deps.depends_on(q, p) || conflict_set.contains(&(p, q));
-                if dep {
-                    pairs.push((p, q));
-                }
-            }
+    // An external p < q that q depends on (SSA) or conflicts with must stay
+    // ahead of q: a Before q pulls p Before, an After p pushes q After. The
+    // backward sweep closes Before over suppliers; the forward sweep closes
+    // After over dependents and fails on reaching a Before node. Graph
+    // positions that `dep_set` adds to `before` are never read; `after`
+    // holds externals only, so `meets(&after)` sees After suppliers.
+    for q in (0..n).rev() {
+        if in_graph.contains(q) || !before.contains(q) {
+            continue;
         }
-        pairs
-    };
-    loop {
-        let mut changed = false;
-        for &(p, q) in &ext_pairs {
-            match (side[p], side[q]) {
-                (Side::After, Side::Before) => return None,
-                (Side::After, Side::Unknown) => {
-                    side[q] = Side::After;
-                    changed = true;
-                }
-                (Side::Unknown, Side::Before) => {
-                    side[p] = Side::Before;
-                    changed = true;
-                }
-                _ => {}
-            }
+        before.union_with(deps.dep_set(q));
+        for p in deps.conflict_set(q).iter().take_while(|&p| p < q) {
+            before.insert(p);
         }
-        if !changed {
-            break;
+    }
+    for p in (0..n).filter(|&p| !in_graph.contains(p)) {
+        if !after.contains(p) && !deps.dep_set(p).meets(&after) {
+            continue;
+        }
+        if before.contains(p) {
+            return None;
+        }
+        after.insert(p);
+        for q in deps.conflict_set(p).iter().filter(|&q| q > p) {
+            if !in_graph.contains(q) {
+                after.insert(q);
+            }
         }
     }
 
     // Independent leftovers go after the loop (Fig. 13).
-    let mut before = Vec::new();
-    let mut after = Vec::new();
-    for p in 0..n {
-        if in_graph[p] {
-            continue;
-        }
-        match side[p] {
-            Side::Before => before.push(deps.insts[p]),
-            _ => after.push(deps.insts[p]),
-        }
-    }
+    let (before, after): (Vec<usize>, Vec<usize>) = (0..n)
+        .filter(|&p| !in_graph.contains(p))
+        .partition(|&p| before.contains(p));
     Some(Schedule {
-        before,
-        after,
+        before: before.into_iter().map(|p| deps.insts[p]).collect(),
+        after: after.into_iter().map(|p| deps.insts[p]).collect(),
         graph_insts,
     })
 }

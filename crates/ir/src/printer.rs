@@ -19,19 +19,21 @@
 //! Instruction results are numbered sequentially per function (parameters
 //! first), so printing is stable across parse/print round trips.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use crate::function::Function;
 use crate::inst::{InstExtra, InstId, Opcode};
 use crate::module::{GlobalInit, Module};
 use crate::parser::is_plain_symbol;
+use crate::types::{TypeId, TypeKind, TypeStore};
 use crate::value::{ValueDef, ValueId};
 
-/// Escapes a string for a double-quoted literal, inverting the lexer's
+// Every renderer below appends to one caller-owned `String`; `write!` into
+// a `String` cannot fail, so its `fmt::Result` is dropped.
+
+/// Appends `s` escaped for a double-quoted literal, inverting the lexer's
 /// escape decoding.
-fn escape_str(s: &str) -> String {
-    let mut out = String::new();
+fn write_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -45,44 +47,88 @@ fn escape_str(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
-/// Prints a symbol name for use after `@`/`%`: bare when it is a plain
+/// Appends a symbol name for use after `@`/`%`: bare when it is a plain
 /// identifier, quoted (with escapes) otherwise.
-fn sym(name: &str) -> String {
+fn write_sym(out: &mut String, name: &str) {
     if is_plain_symbol(name) {
-        name.to_string()
+        out.push_str(name);
     } else {
-        format!("\"{}\"", escape_str(name))
+        out.push('"');
+        write_escaped(out, name);
+        out.push('"');
     }
 }
 
-/// Prints a float constant from its bit pattern. Finite values use the
+/// Appends a float constant from its bit pattern. Finite values use the
 /// shortest decimal that round-trips; non-finite values (infinities, NaNs
 /// with payloads) use a bit-exact `0x...` spelling the parser understands.
-fn float_literal(bits: u64) -> String {
+fn write_float(out: &mut String, bits: u64) {
     let value = f64::from_bits(bits);
     if value.is_finite() {
         // `{:?}` keeps a trailing `.0` so the parser can tell floats from
         // ints, and prints the shortest decimal that parses back to the
         // same bits.
-        format!("{value:?}")
+        let _ = write!(out, "{value:?}");
     } else {
-        format!("0x{bits:016x}")
+        let _ = write!(out, "0x{bits:016x}");
+    }
+}
+
+/// Appends `id` as IR text (e.g. `i32`, `[4 x i32]`); the one type
+/// renderer, behind both the printer and [`TypeStore::display`].
+pub(crate) fn write_ty(out: &mut String, types: &TypeStore, id: TypeId) {
+    match types.kind(id) {
+        TypeKind::Void => out.push_str("void"),
+        TypeKind::Int(w) => {
+            let _ = write!(out, "i{w}");
+        }
+        TypeKind::Float => out.push_str("float"),
+        TypeKind::Double => out.push_str("double"),
+        TypeKind::Ptr => out.push_str("ptr"),
+        TypeKind::Array { elem, len } => {
+            let _ = write!(out, "[{len} x ");
+            write_ty(out, types, *elem);
+            out.push(']');
+        }
+        TypeKind::Struct { fields } => {
+            out.push_str("{ ");
+            write_list(out, fields, |out, &f| write_ty(out, types, f));
+            out.push_str(" }");
+        }
+        TypeKind::Func { ret, params } => {
+            out.push_str("fn(");
+            write_list(out, params, |out, &p| write_ty(out, types, p));
+            out.push_str(") -> ");
+            write_ty(out, types, *ret);
+        }
+    }
+}
+
+/// Appends `items` rendered by `item`, separated by `, `.
+fn write_list<T>(out: &mut String, items: &[T], mut item: impl FnMut(&mut String, &T)) {
+    for (k, x) in items.iter().enumerate() {
+        if k > 0 {
+            out.push_str(", ");
+        }
+        item(out, x);
     }
 }
 
 /// Prints a whole module as parseable IR text.
 pub fn print_module(module: &Module) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "module \"{}\"", escape_str(&module.name));
+    out.push_str("module \"");
+    write_escaped(&mut out, &module.name);
+    out.push_str("\"\n");
     for g in module.global_ids() {
-        let _ = writeln!(out, "{}", print_global(module, g));
+        write_global(&mut out, module, g);
+        out.push('\n');
     }
     for f in module.func_ids() {
         out.push('\n');
-        out.push_str(&print_function(module, module.func(f)));
+        write_function(&mut out, module, module.func(f));
     }
     out
 }
@@ -91,165 +137,220 @@ pub fn print_module(module: &Module) -> String {
 /// newline). Stable by construction — cache keys content-address globals
 /// through this rendering.
 pub fn print_global(module: &Module, g: crate::GlobalId) -> String {
+    let mut out = String::new();
+    write_global(&mut out, module, g);
+    out
+}
+
+fn write_global(out: &mut String, module: &Module, g: crate::GlobalId) {
     let data = module.global(g);
-    let kind = if data.is_const { "const" } else { "global" };
-    let init = match &data.init {
-        GlobalInit::Zero => "zero".to_string(),
+    out.push_str(if data.is_const { "const @" } else { "global @" });
+    write_sym(out, &data.name);
+    out.push_str(" : ");
+    write_ty(out, &module.types, data.ty);
+    out.push_str(" = ");
+    match &data.init {
+        GlobalInit::Zero => out.push_str("zero"),
         GlobalInit::Ints { elem_ty, values } => {
-            let vals: Vec<String> = values.iter().map(|v| v.to_string()).collect();
-            format!(
-                "ints {} [{}]",
-                module.types.display(*elem_ty),
-                vals.join(", ")
-            )
+            out.push_str("ints ");
+            write_ty(out, &module.types, *elem_ty);
+            out.push_str(" [");
+            write_list(out, values, |out, v| {
+                let _ = write!(out, "{v}");
+            });
+            out.push(']');
         }
         GlobalInit::Bytes(bytes) => {
-            let vals: Vec<String> = bytes.iter().map(|b| b.to_string()).collect();
-            format!("bytes [{}]", vals.join(", "))
+            out.push_str("bytes [");
+            write_list(out, bytes, |out, b| {
+                let _ = write!(out, "{b}");
+            });
+            out.push(']');
         }
-    };
-    format!(
-        "{kind} @{} : {} = {init}",
-        sym(&data.name),
-        module.types.display(data.ty)
-    )
+    }
 }
 
 /// Prints one function (or declaration) as parseable IR text.
 pub fn print_function(module: &Module, func: &Function) -> String {
-    let types = &module.types;
     let mut out = String::new();
-    let params: Vec<String> = func
-        .param_tys()
-        .iter()
-        .enumerate()
-        .map(|(i, &ty)| format!("{} %p{}", types.display(ty), i))
-        .collect();
-    if func.is_declaration {
-        let _ = writeln!(
-            out,
-            "declare @{}({}) -> {} {}",
-            sym(&func.name),
-            params.join(", "),
-            types.display(func.ret_ty),
-            func.effects.mnemonic()
-        );
-        return out;
-    }
-    let _ = writeln!(
-        out,
-        "func @{}({}) -> {} {{",
-        sym(&func.name),
-        params.join(", "),
-        types.display(func.ret_ty)
-    );
-
-    // Sequential numbering: parameters take 0..n, instruction results follow.
-    let mut names: HashMap<ValueId, String> = HashMap::new();
-    for (i, &p) in func.params().iter().enumerate() {
-        names.insert(p, format!("%p{i}"));
-    }
-    let mut next = func.params().len();
-    for b in func.block_ids() {
-        for &i in &func.block(b).insts {
-            let ty = func.inst(i).ty;
-            if !matches!(types.kind(ty), crate::types::TypeKind::Void) {
-                names.insert(func.inst_result(i), format!("%{next}"));
-                next += 1;
-            }
-        }
-    }
-
-    for b in func.block_ids() {
-        let _ = writeln!(out, "{}:", func.block(b).name);
-        for &i in &func.block(b).insts {
-            let _ = writeln!(out, "  {}", print_inst(module, func, i, &names));
-        }
-    }
-    out.push_str("}\n");
+    write_function(&mut out, module, func);
     out
 }
 
-fn operand(
-    module: &Module,
-    func: &Function,
-    v: ValueId,
-    names: &HashMap<ValueId, String>,
-) -> String {
-    match func.value(v) {
-        ValueDef::Inst(_) | ValueDef::Param { .. } => names
-            .get(&v)
-            .cloned()
-            .unwrap_or_else(|| format!("%?{}", v.index())),
-        ValueDef::ConstInt { ty, value } => {
-            format!("{} {}", module.types.display(*ty), value)
+fn write_function(out: &mut String, module: &Module, func: &Function) {
+    let types = &module.types;
+    out.push_str(if func.is_declaration {
+        "declare @"
+    } else {
+        "func @"
+    });
+    write_sym(out, &func.name);
+    out.push('(');
+    for (i, &ty) in func.param_tys().iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
         }
-        ValueDef::ConstFloat { ty, bits } => {
-            format!("{} {}", module.types.display(*ty), float_literal(*bits))
+        write_ty(out, types, ty);
+        let _ = write!(out, " %p{i}");
+    }
+    out.push_str(") -> ");
+    write_ty(out, types, func.ret_ty);
+    if func.is_declaration {
+        out.push(' ');
+        out.push_str(func.effects.mnemonic());
+        out.push('\n');
+        return;
+    }
+    out.push_str(" {\n");
+    let names = Names::new(types, func);
+    for b in func.block_ids() {
+        out.push_str(&func.block(b).name);
+        out.push_str(":\n");
+        for &i in &func.block(b).insts {
+            out.push_str("  ");
+            write_inst(out, module, func, &names, i);
+            out.push('\n');
         }
-        ValueDef::GlobalAddr(g) => format!("@{}", sym(&module.global(*g).name)),
-        ValueDef::FuncAddr(f) => format!("@{}", sym(&module.func(*f).name)),
-        ValueDef::Undef(ty) => format!("{} undef", module.types.display(*ty)),
+    }
+    out.push_str("}\n");
+}
+
+/// Sequential value numbering, dense over the function's value arena:
+/// parameters take `0..n` (printed `%pK`), non-void instruction results
+/// follow in block order (printed `%K`).
+struct Names {
+    seq: Vec<u32>,
+    params: u32,
+}
+
+impl Names {
+    const UNNAMED: u32 = u32::MAX;
+
+    fn new(types: &TypeStore, func: &Function) -> Names {
+        let mut seq = vec![Self::UNNAMED; func.num_values()];
+        for (k, &p) in func.params().iter().enumerate() {
+            seq[p.index()] = k as u32;
+        }
+        let mut next = func.params().len() as u32;
+        for b in func.block_ids() {
+            for &i in &func.block(b).insts {
+                if !matches!(types.kind(func.inst(i).ty), TypeKind::Void) {
+                    seq[func.inst_result(i).index()] = next;
+                    next += 1;
+                }
+            }
+        }
+        Names {
+            seq,
+            params: func.params().len() as u32,
+        }
+    }
+
+    /// Appends `v`'s name; returns false, appending nothing, when `v` has
+    /// none (a void result, or an instruction outside every block).
+    fn write(&self, out: &mut String, v: ValueId) -> bool {
+        let k = self.seq[v.index()];
+        if k == Self::UNNAMED {
+            return false;
+        }
+        let _ = if k < self.params {
+            write!(out, "%p{k}")
+        } else {
+            write!(out, "%{k}")
+        };
+        true
     }
 }
 
-/// Prints a single instruction (without trailing newline).
-pub fn print_inst(
-    module: &Module,
-    func: &Function,
-    inst: InstId,
-    names: &HashMap<ValueId, String>,
-) -> String {
+fn write_operand(out: &mut String, module: &Module, func: &Function, names: &Names, v: ValueId) {
+    let types = &module.types;
+    match func.value(v) {
+        ValueDef::Inst(_) | ValueDef::Param { .. } => {
+            if !names.write(out, v) {
+                let _ = write!(out, "%?{}", v.index());
+            }
+        }
+        ValueDef::ConstInt { ty, value } => {
+            write_ty(out, types, *ty);
+            let _ = write!(out, " {value}");
+        }
+        ValueDef::ConstFloat { ty, bits } => {
+            write_ty(out, types, *ty);
+            out.push(' ');
+            write_float(out, *bits);
+        }
+        ValueDef::GlobalAddr(g) => {
+            out.push('@');
+            write_sym(out, &module.global(*g).name);
+        }
+        ValueDef::FuncAddr(f) => {
+            out.push('@');
+            write_sym(out, &module.func(*f).name);
+        }
+        ValueDef::Undef(ty) => {
+            write_ty(out, types, *ty);
+            out.push_str(" undef");
+        }
+    }
+}
+
+/// Appends one instruction (without trailing newline).
+fn write_inst(out: &mut String, module: &Module, func: &Function, names: &Names, inst: InstId) {
     let types = &module.types;
     let data = func.inst(inst);
-    let op = |v: ValueId| operand(module, func, v, names);
-    let result = names.get(&func.inst_result(inst));
-    let prefix = match result {
-        Some(name) => format!("{name} = "),
-        None => String::new(),
+    let ops = &data.operands;
+    let op = |out: &mut String, v: ValueId| write_operand(out, module, func, names, v);
+    let list = |out: &mut String, vs: &[ValueId]| write_list(out, vs, |out, &v| op(out, v));
+    let block_name = |b: crate::BlockId| func.block(b).name.as_str();
+    if names.write(out, func.inst_result(inst)) {
+        out.push_str(" = ");
+    }
+    // `mnemonic ty ` — the shape shared by calls, phis, selects, casts and
+    // binary operators.
+    let head = |out: &mut String, mnemonic: &str, ty: TypeId| {
+        out.push_str(mnemonic);
+        out.push(' ');
+        write_ty(out, types, ty);
+        out.push(' ');
     };
-    let body = match (&data.opcode, &data.extra) {
-        (Opcode::Icmp, InstExtra::Icmp(p)) => format!(
-            "icmp {} {}, {}",
-            p.mnemonic(),
-            op(data.operands[0]),
-            op(data.operands[1])
-        ),
-        (Opcode::Fcmp, InstExtra::Fcmp(p)) => format!(
-            "fcmp {} {}, {}",
-            p.mnemonic(),
-            op(data.operands[0]),
-            op(data.operands[1])
-        ),
+    match (&data.opcode, &data.extra) {
+        (Opcode::Icmp, InstExtra::Icmp(p)) => {
+            let _ = write!(out, "icmp {} ", p.mnemonic());
+            list(out, &ops[..2]);
+        }
+        (Opcode::Fcmp, InstExtra::Fcmp(p)) => {
+            let _ = write!(out, "fcmp {} ", p.mnemonic());
+            list(out, &ops[..2]);
+        }
         (Opcode::Gep, InstExtra::Gep { elem_ty }) => {
-            let idx: Vec<String> = data.operands[1..].iter().map(|&v| op(v)).collect();
-            format!(
-                "gep {}, {}, {}",
-                types.display(*elem_ty),
-                op(data.operands[0]),
-                idx.join(", ")
-            )
+            out.push_str("gep ");
+            write_ty(out, types, *elem_ty);
+            out.push_str(", ");
+            op(out, ops[0]);
+            out.push_str(", ");
+            list(out, &ops[1..]);
         }
         (Opcode::Call, InstExtra::Call { callee }) => {
-            let args: Vec<String> = data.operands.iter().map(|&v| op(v)).collect();
-            format!(
-                "call {} @{}({})",
-                types.display(data.ty),
-                sym(&module.func(*callee).name),
-                args.join(", ")
-            )
+            head(out, "call", data.ty);
+            out.push('@');
+            write_sym(out, &module.func(*callee).name);
+            out.push('(');
+            list(out, ops);
+            out.push(')');
         }
         (Opcode::Phi, InstExtra::Phi { incoming }) => {
-            let arms: Vec<String> = data
-                .operands
-                .iter()
-                .zip(incoming)
-                .map(|(&v, &b)| format!("[ {}, {} ]", op(v), func.block(b).name))
-                .collect();
-            format!("phi {} {}", types.display(data.ty), arms.join(", "))
+            head(out, "phi", data.ty);
+            for (k, (&v, &b)) in ops.iter().zip(incoming).enumerate() {
+                out.push_str(if k > 0 { ", [ " } else { "[ " });
+                op(out, v);
+                out.push_str(", ");
+                out.push_str(block_name(b));
+                out.push_str(" ]");
+            }
         }
         (Opcode::Br, InstExtra::Br { dest }) => {
-            format!("br {}", func.block(*dest).name)
+            out.push_str("br ");
+            out.push_str(block_name(*dest));
         }
         (
             Opcode::CondBr,
@@ -257,61 +358,54 @@ pub fn print_inst(
                 then_dest,
                 else_dest,
             },
-        ) => format!(
-            "condbr {}, {}, {}",
-            op(data.operands[0]),
-            func.block(*then_dest).name,
-            func.block(*else_dest).name
-        ),
+        ) => {
+            out.push_str("condbr ");
+            op(out, ops[0]);
+            for dest in [then_dest, else_dest] {
+                out.push_str(", ");
+                out.push_str(block_name(*dest));
+            }
+        }
         (Opcode::Alloca, InstExtra::Alloca { elem_ty }) => {
-            if data.operands.is_empty() {
-                format!("alloca {}", types.display(*elem_ty))
-            } else {
-                format!(
-                    "alloca {}, {}",
-                    types.display(*elem_ty),
-                    op(data.operands[0])
-                )
+            out.push_str("alloca ");
+            write_ty(out, types, *elem_ty);
+            if let Some(&count) = ops.first() {
+                out.push_str(", ");
+                op(out, count);
             }
         }
-        (Opcode::Load, _) => format!("load {}, {}", types.display(data.ty), op(data.operands[0])),
-        (Opcode::Store, _) => format!("store {}, {}", op(data.operands[0]), op(data.operands[1])),
-        (Opcode::Select, _) => format!(
-            "select {} {}, {}, {}",
-            types.display(data.ty),
-            op(data.operands[0]),
-            op(data.operands[1]),
-            op(data.operands[2])
-        ),
+        (Opcode::Load, _) => {
+            out.push_str("load ");
+            write_ty(out, types, data.ty);
+            out.push_str(", ");
+            op(out, ops[0]);
+        }
+        (Opcode::Store, _) => {
+            out.push_str("store ");
+            list(out, &ops[..2]);
+        }
+        (Opcode::Select, _) => {
+            head(out, "select", data.ty);
+            list(out, &ops[..3]);
+        }
         (Opcode::Ret, _) => {
-            if data.operands.is_empty() {
-                "ret".to_string()
-            } else {
-                format!("ret {}", op(data.operands[0]))
+            out.push_str("ret");
+            if let Some(&v) = ops.first() {
+                out.push(' ');
+                op(out, v);
             }
         }
-        (Opcode::Unreachable, _) => "unreachable".to_string(),
-        (opcode, _) if opcode.is_cast() => format!(
-            "{} {} {}",
-            opcode.mnemonic(),
-            types.display(data.ty),
-            op(data.operands[0])
-        ),
-        (opcode, _) if opcode.is_binop() => format!(
-            "{} {} {}, {}",
-            opcode.mnemonic(),
-            types.display(data.ty),
-            op(data.operands[0]),
-            op(data.operands[1])
-        ),
+        (Opcode::Unreachable, _) => out.push_str("unreachable"),
+        (opcode, _) if opcode.is_cast() => {
+            head(out, opcode.mnemonic(), data.ty);
+            op(out, ops[0]);
+        }
+        (opcode, _) if opcode.is_binop() => {
+            head(out, opcode.mnemonic(), data.ty);
+            list(out, &ops[..2]);
+        }
         (opcode, extra) => panic!("cannot print {opcode:?} with extra {extra:?}"),
-    };
-    format!("{prefix}{body}")
-}
-
-/// Convenience: prints a function with fresh numbering (for debugging).
-pub fn dump_function(module: &Module, func: &Function) -> String {
-    print_function(module, func)
+    }
 }
 
 #[cfg(test)]

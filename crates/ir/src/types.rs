@@ -317,26 +317,12 @@ impl TypeStore {
         map
     }
 
-    /// Renders `id` as IR text (e.g. `i32`, `[4 x i32]`).
+    /// Renders `id` as IR text (e.g. `i32`, `[4 x i32]`), exactly as the
+    /// printer spells it.
     pub fn display(&self, id: TypeId) -> String {
-        match self.kind(id) {
-            TypeKind::Void => "void".to_string(),
-            TypeKind::Int(w) => format!("i{w}"),
-            TypeKind::Float => "float".to_string(),
-            TypeKind::Double => "double".to_string(),
-            TypeKind::Ptr => "ptr".to_string(),
-            TypeKind::Array { elem, len } => {
-                format!("[{} x {}]", len, self.display(*elem))
-            }
-            TypeKind::Struct { fields } => {
-                let fields: Vec<String> = fields.iter().map(|&f| self.display(f)).collect();
-                format!("{{ {} }}", fields.join(", "))
-            }
-            TypeKind::Func { ret, params } => {
-                let params: Vec<String> = params.iter().map(|&p| self.display(p)).collect();
-                format!("fn({}) -> {}", params.join(", "), self.display(*ret))
-            }
-        }
+        let mut out = String::new();
+        crate::printer::write_ty(&mut out, self, id);
+        out
     }
 }
 

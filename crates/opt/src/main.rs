@@ -408,7 +408,7 @@ fn dump_alignment_graphs(module: &Module) {
         if func.is_declaration {
             continue;
         }
-        let candidates = rolag::collect_candidates(module, func, &opts);
+        let candidates = rolag::collect_candidates(module, func, &func.compute_uses(), &opts);
         for (k, cand) in candidates.iter().enumerate() {
             let mut attempt = func.clone();
             let lanes = cand.lanes();

@@ -135,14 +135,18 @@ pub fn roll_function_with(
         // blocks, fresh collection for dirty or new ones, concatenated in
         // block order — exactly the list `collect_candidates` would build.
         let seeds_start = Instant::now();
+        // Collection leaves `work` unchanged, so one use map serves every
+        // dirty block of the sweep.
         let mut candidates: Vec<Candidate> = Vec::new();
+        let mut uses = None;
         for b in work.block_ids() {
             if let Some(list) = cache.cands.get(&b) {
                 stats.cache.cand_blocks_reused += 1;
                 candidates.extend(list.iter().cloned());
             } else {
                 stats.cache.cand_blocks_scanned += 1;
-                let list = collect_block_candidates(module, &work, b, opts);
+                let uses = uses.get_or_insert_with(|| work.compute_uses());
+                let list = collect_block_candidates(module, &work, uses, b, opts);
                 candidates.extend(list.iter().cloned());
                 cache.cands.insert(b, list);
             }
@@ -309,7 +313,7 @@ pub fn roll_function_full_rescan(
 
     loop {
         let candidates = timed(&mut stats.timings.seeds_ns, || {
-            collect_candidates(module, &work, opts)
+            collect_candidates(module, &work, &work.compute_uses(), opts)
         });
         // `work` is invariant within a sweep, so the profitability baseline
         // is too: compute it once per sweep, not once per candidate.

@@ -214,7 +214,7 @@ fn beam_roll(
 
     loop {
         let candidates = timed(&mut stats.timings.seeds_ns, || {
-            let base = collect_candidates(module, &work, opts);
+            let base = collect_candidates(module, &work, &work.compute_uses(), opts);
             let mut all = Vec::with_capacity(base.len() * 2);
             for c in base {
                 let variants = candidate_variants(module, &work, &c, opts);
@@ -506,7 +506,7 @@ fn rollout_score(
     // Greedy continuation: first profitable validated candidate per sweep.
     let mut commits = 0usize;
     'sweeps: while depth == 0 || commits < depth {
-        let candidates = collect_candidates(module, &sim, opts);
+        let candidates = collect_candidates(module, &sim, &sim.compute_uses(), opts);
         let old_size = fresh_function_size(module, &sim, opts);
         for cand in candidates {
             if cand.lanes() < opts.min_lanes {

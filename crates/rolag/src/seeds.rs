@@ -8,7 +8,9 @@
 use std::collections::HashMap;
 
 use rolag_analysis::alias::{resolve_pointer, BaseObject};
-use rolag_ir::{BlockId, Function, InstExtra, InstId, Module, Opcode, TypeId, ValueDef, ValueId};
+use rolag_ir::{
+    BlockId, Function, InstExtra, InstId, Module, Opcode, TypeId, UseMap, ValueDef, ValueId,
+};
 
 use crate::options::RolagOptions;
 
@@ -161,11 +163,18 @@ pub fn candidate_variants(
     out
 }
 
-/// Collects rolling candidates for every block of `func`.
-pub fn collect_candidates(module: &Module, func: &Function, opts: &RolagOptions) -> Vec<Candidate> {
+/// Collects rolling candidates for every block of `func`. `uses` is
+/// `func.compute_uses()`; the caller builds it once per sweep, since
+/// collection never changes `func`.
+pub fn collect_candidates(
+    module: &Module,
+    func: &Function,
+    uses: &UseMap,
+    opts: &RolagOptions,
+) -> Vec<Candidate> {
     let mut out = Vec::new();
     for block in func.block_ids() {
-        collect_in_block(module, func, block, opts, &mut out);
+        collect_in_block(module, func, uses, block, opts, &mut out);
     }
     out
 }
@@ -176,18 +185,20 @@ pub fn collect_candidates(module: &Module, func: &Function, opts: &RolagOptions)
 pub fn collect_block_candidates(
     module: &Module,
     func: &Function,
+    uses: &UseMap,
     block: BlockId,
     opts: &RolagOptions,
 ) -> Vec<Candidate> {
     let mut out = Vec::new();
-    collect_in_block(module, func, block, opts, &mut out);
+    collect_in_block(module, func, uses, block, opts, &mut out);
     out
 }
 
 /// Collects rolling candidates inside one block, appending to `out`.
-pub fn collect_in_block(
+fn collect_in_block(
     module: &Module,
     func: &Function,
+    uses: &UseMap,
     block: BlockId,
     opts: &RolagOptions,
     out: &mut Vec<Candidate>,
@@ -279,14 +290,24 @@ pub fn collect_in_block(
         });
     }
 
+    // Position of each instruction of this block, built once and shared by
+    // every tree and chain below; it doubles as the block-membership test.
+    let pos: HashMap<InstId, usize> = func
+        .block(block)
+        .insts
+        .iter()
+        .enumerate()
+        .map(|(p, &i)| (i, p))
+        .collect();
+
     // --- reduction trees (§IV-C5) -------------------------------------------
     if opts.enable_reductions {
-        collect_reductions(module, func, block, opts, out);
+        collect_reductions(func, uses, block, &pos, opts, out);
     }
 
     // --- value chains (EXTENSION: paper future work, Fig. 20b) --------------
     if opts.enable_value_chains {
-        collect_value_chains(func, block, opts, out);
+        collect_value_chains(func, uses, block, &pos, opts, out);
     }
 }
 
@@ -297,13 +318,13 @@ pub fn collect_in_block(
 /// node during alignment.
 fn collect_value_chains(
     func: &Function,
+    uses: &UseMap,
     block: BlockId,
+    pos: &HashMap<InstId, usize>,
     opts: &RolagOptions,
     out: &mut Vec<Candidate>,
 ) {
-    let uses = func.compute_uses();
     let insts = &func.block(block).insts;
-    let in_block: std::collections::HashSet<InstId> = insts.iter().copied().collect();
     let eligible = |op: Opcode| {
         matches!(op, Opcode::Select) || (op.is_binop() && !op.is_associative(opts.fast_math))
     };
@@ -315,7 +336,7 @@ fn collect_value_chains(
             .of(result)
             .iter()
             .map(|&(u, _)| u)
-            .filter(|u| in_block.contains(u) && func.inst(*u).opcode == op)
+            .filter(|u| pos.contains_key(u) && func.inst(*u).opcode == op)
             .collect();
         // The link is the unique same-opcode user; other users (e.g. the
         // compare feeding the next select) are resolved by the alignment
@@ -376,16 +397,14 @@ fn alternation_k<'g>(groups: &[&'g Vec<(usize, InstId)>]) -> Option<Vec<&'g Vec<
 }
 
 fn collect_reductions(
-    _module: &Module,
     func: &Function,
+    uses: &UseMap,
     block: BlockId,
+    pos: &HashMap<InstId, usize>,
     opts: &RolagOptions,
     out: &mut Vec<Candidate>,
 ) {
-    let uses = func.compute_uses();
-    let insts = &func.block(block).insts;
-    let in_block: std::collections::HashSet<InstId> = insts.iter().copied().collect();
-    for &i in insts {
+    for &i in &func.block(block).insts {
         let data = func.inst(i);
         let opcode = data.opcode;
         if !opcode.is_binop() || !opcode.is_associative(opts.fast_math) || !opcode.is_commutative()
@@ -398,7 +417,7 @@ fn collect_reductions(
         let is_root = !uses
             .of(result)
             .iter()
-            .any(|&(user, _)| in_block.contains(&user) && func.inst(user).opcode == opcode);
+            .any(|&(user, _)| pos.contains_key(&user) && func.inst(user).opcode == opcode);
         if !is_root {
             continue;
         }
@@ -411,7 +430,7 @@ fn collect_reductions(
             for &op in &func.inst(n).operands {
                 let as_internal = match func.value(op) {
                     ValueDef::Inst(inner)
-                        if in_block.contains(inner)
+                        if pos.contains_key(inner)
                             && func.inst(*inner).opcode == opcode
                             && uses.count(op) == 1 =>
                     {
@@ -435,29 +454,24 @@ fn collect_reductions(
         // Canonicalize leaf order by block position (associativity and
         // commutativity allow it): this lets strided leaves align their
         // index groups into sequences rather than shuffled mismatch arrays.
-        let pos_map: HashMap<InstId, usize> = insts
-            .iter()
-            .enumerate()
-            .map(|(p, &inst)| (inst, p))
-            .collect();
-        let leaf_pos = |v: ValueId, func: &Function| match func.value(v) {
+        let leaf_pos = |v: ValueId| match func.value(v) {
             ValueDef::Inst(inner) => {
                 if func.inst(*inner).opcode == Opcode::Phi {
                     // Phis sort first: they are carry candidates.
                     0
                 } else {
-                    pos_map.get(inner).copied().unwrap_or(usize::MAX)
+                    pos.get(inner).copied().unwrap_or(usize::MAX)
                 }
             }
             _ => 0,
         };
-        leaves.sort_by_key(|&v| leaf_pos(v, func));
+        leaves.sort_by_key(|&v| leaf_pos(v));
         // A single non-rollable leaf (a phi of this block, or a value from
         // outside) is the accumulator carried into a partially unrolled
         // reduction; split it off as the chain's entry value.
         let is_plain = |v: ValueId| match func.value(v) {
             ValueDef::Inst(inner) => {
-                in_block.contains(inner) && func.inst(*inner).opcode != Opcode::Phi
+                pos.contains_key(inner) && func.inst(*inner).opcode != Opcode::Phi
             }
             _ => false,
         };
@@ -489,7 +503,7 @@ mod tests {
         let m = parse_module(text).unwrap();
         let f = m.func(m.func_by_name("f").unwrap());
         let opts = RolagOptions::default();
-        let c = collect_candidates(&m, f, &opts);
+        let c = collect_candidates(&m, f, &f.compute_uses(), &opts);
         (m.clone(), c)
     }
 
@@ -786,5 +800,162 @@ entry:
         assert_eq!(reds.len(), 1);
         assert_eq!(reds[0].0.len(), 3);
         assert_eq!(reds[0].1.len(), 2, "root and %d; %s0 stays a leaf");
+    }
+
+    /// The constant index of the gep a load reads through: leaves below
+    /// are identified by it, since parsing renumbers values.
+    fn load_offset(f: &Function, v: ValueId) -> i64 {
+        let ValueDef::Inst(load) = f.value(v) else {
+            panic!("leaf {v:?} is not an instruction");
+        };
+        let ValueDef::Inst(gep) = f.value(f.inst(*load).operands[0]) else {
+            panic!("load without a gep");
+        };
+        let idx = *f.inst(*gep).operands.last().unwrap();
+        match f.value(idx) {
+            ValueDef::ConstInt { value, .. } => *value,
+            other => panic!("non-constant gep index {other:?}"),
+        }
+    }
+
+    #[test]
+    fn interleaved_reduction_trees_sort_leaves_and_split_the_carry() {
+        // Three trees (add, mul, xor) over loads from @a whose leaves
+        // interleave in the block and are consumed out of block order,
+        // plus a fourth tree (add) over loads from %p0 that folds the phi
+        // %acc in the middle of its chain.
+        let m = parse_module(
+            r#"
+module "t"
+global @a : [12 x i32] = zero
+func @f(ptr %p0, i32 %p1) -> i32 {
+entry:
+  %e0 = gep i32, %p0, i64 8
+  store i32 0, %e0
+  %e1 = gep i32, %p0, i64 9
+  store i32 0, %e1
+  br loop
+loop:
+  %acc = phi i32 [ i32 0, entry ], [ %d3, loop ]
+  %g0 = gep i32, @a, i64 0
+  %x0 = load i32, %g0
+  %g1 = gep i32, @a, i64 1
+  %x1 = load i32, %g1
+  %h0 = gep i32, %p0, i64 0
+  %y0 = load i32, %h0
+  %g2 = gep i32, @a, i64 2
+  %x2 = load i32, %g2
+  %g3 = gep i32, @a, i64 3
+  %x3 = load i32, %g3
+  %h1 = gep i32, %p0, i64 1
+  %y1 = load i32, %h1
+  %g4 = gep i32, @a, i64 4
+  %x4 = load i32, %g4
+  %g5 = gep i32, @a, i64 5
+  %x5 = load i32, %g5
+  %h2 = gep i32, %p0, i64 2
+  %y2 = load i32, %h2
+  %g6 = gep i32, @a, i64 6
+  %x6 = load i32, %g6
+  %g7 = gep i32, @a, i64 7
+  %x7 = load i32, %g7
+  %h3 = gep i32, %p0, i64 3
+  %y3 = load i32, %h3
+  %g8 = gep i32, @a, i64 8
+  %x8 = load i32, %g8
+  %g9 = gep i32, @a, i64 9
+  %x9 = load i32, %g9
+  %g10 = gep i32, @a, i64 10
+  %x10 = load i32, %g10
+  %g11 = gep i32, @a, i64 11
+  %x11 = load i32, %g11
+  %a0 = add i32 %x9, %x6
+  %a1 = add i32 %x3, %a0
+  %a2 = add i32 %a1, %x0
+  %b0 = mul i32 %x10, %x1
+  %b1 = mul i32 %x7, %x4
+  %b2 = mul i32 %b0, %b1
+  %c0 = xor i32 %x11, %x8
+  %c1 = xor i32 %c0, %x5
+  %c2 = xor i32 %x2, %c1
+  %d0 = add i32 %y2, %acc
+  %d1 = add i32 %y0, %d0
+  %d2 = add i32 %d1, %y3
+  %d3 = add i32 %y1, %d2
+  %s0 = gep i32, %p0, i64 4
+  store %a2, %s0
+  %s1 = gep i32, %p0, i64 5
+  store %b2, %s1
+  %s2 = gep i32, %p0, i64 6
+  store %c2, %s2
+  %cmp = icmp slt %d3, %p1
+  condbr %cmp, loop, exit
+exit:
+  ret %d3
+}
+"#,
+        )
+        .unwrap();
+        let f = m.func(m.func_by_name("f").unwrap());
+        let opts = RolagOptions::default();
+        let uses = f.compute_uses();
+        let all = collect_candidates(&m, f, &uses, &opts);
+
+        // The sweep's list is exactly the per-block lists concatenated.
+        let per_block: Vec<Vec<Candidate>> = f
+            .block_ids()
+            .map(|b| collect_block_candidates(&m, f, &uses, b, &opts))
+            .collect();
+        assert!(
+            per_block.iter().filter(|l| !l.is_empty()).count() >= 2,
+            "candidates in more than one block"
+        );
+        assert_eq!(all, per_block.concat());
+
+        let loop_block = f.block_ids().nth(1).unwrap();
+        let pos: HashMap<ValueId, usize> = f
+            .block(loop_block)
+            .insts
+            .iter()
+            .enumerate()
+            .map(|(p, &i)| (f.inst_result(i), p))
+            .collect();
+        let mut trees: Vec<(Opcode, Vec<i64>, Option<ValueId>)> = Vec::new();
+        for cand in &all {
+            let Candidate::Reduction {
+                block,
+                opcode,
+                leaves,
+                carry,
+                ..
+            } = cand
+            else {
+                continue;
+            };
+            assert_eq!(*block, loop_block);
+            assert!(
+                leaves.windows(2).all(|w| pos[&w[0]] < pos[&w[1]]),
+                "{opcode:?} leaves are in block order"
+            );
+            let offsets = leaves.iter().map(|&v| load_offset(f, v)).collect();
+            trees.push((*opcode, offsets, *carry));
+        }
+        let carry = trees
+            .iter()
+            .find_map(|(_, _, c)| *c)
+            .expect("one tree carries the phi");
+        let ValueDef::Inst(phi) = f.value(carry) else {
+            panic!("carry is an instruction");
+        };
+        assert_eq!(f.inst(*phi).opcode, Opcode::Phi);
+        assert_eq!(
+            trees,
+            vec![
+                (Opcode::Add, vec![0, 3, 6, 9], None),
+                (Opcode::Mul, vec![1, 4, 7, 10], None),
+                (Opcode::Xor, vec![2, 5, 8, 11], None),
+                (Opcode::Add, vec![0, 1, 2, 3], Some(carry)),
+            ]
+        );
     }
 }

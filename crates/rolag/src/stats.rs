@@ -147,7 +147,7 @@ impl AddAssign for StageTimings {
 pub struct FixpointCacheStats {
     /// Blocks whose candidate list was served from the per-block cache.
     pub cand_blocks_reused: u64,
-    /// Blocks whose candidate list was (re)collected with `collect_in_block`.
+    /// Blocks whose candidate list was (re)collected with `collect_block_candidates`.
     pub cand_blocks_scanned: u64,
     /// Block size estimates served from the per-block size cache.
     pub size_blocks_reused: u64,

@@ -86,7 +86,7 @@ fn pointer_mismatches_become_stack_arrays() {
     let mut attempt = rolled.func(fid).clone();
     let block = attempt.entry_block();
 
-    let cands = rolag::collect_candidates(&rolled, &attempt, &opts);
+    let cands = rolag::collect_candidates(&rolled, &attempt, &attempt.compute_uses(), &opts);
     let rolag::Candidate::Seeds { groups, .. } = &cands[0] else {
         panic!("expected a seed candidate");
     };

@@ -80,7 +80,7 @@ impl Tally {
         for (m, stage) in [(module, "input"), (&rolled, "rolled")] {
             for fid in m.func_ids() {
                 let func = m.func(fid);
-                for base in collect_candidates(m, func, &opts) {
+                for base in collect_candidates(m, func, &func.compute_uses(), &opts) {
                     let variants = candidate_variants(m, func, &base, &opts);
                     for cand in std::iter::once(base).chain(variants) {
                         let mut work = func.clone();

@@ -1,8 +1,8 @@
 //! Compile-time cost of the two rolling passes over representative inputs:
 //! how long RoLAG and the LLVM-style baseline take per function, plus the
-//! parallel memoizing driver against the serial baseline on a whole module.
+//! parallel driver against the serial baseline on a whole module.
 
-use rolag::{roll_module, roll_module_par, DriverOptions, RolagOptions};
+use rolag::{roll_module, roll_module_par, RolagOptions};
 use rolag_bench::harness::BenchGroup;
 use rolag_reroll::reroll_module;
 use rolag_suites::angha::{generate, AnghaConfig};
@@ -82,7 +82,7 @@ fn main() {
     );
 
     // Whole-suite module, unrolled x8 so the pass has real work: serial
-    // pass vs. the parallel memoizing driver.
+    // pass vs. the parallel driver.
     let mut suite = build_suite_module();
     unroll_module(&mut suite, 8);
     cse_module(&mut suite);
@@ -96,22 +96,13 @@ fn main() {
         group.bench_batched(
             &format!("driver_par{jobs}_suite"),
             || suite.clone(),
-            |mut m| {
-                roll_module_par(
-                    &mut m,
-                    &RolagOptions::default(),
-                    &DriverOptions {
-                        jobs,
-                        memoize: true,
-                    },
-                )
-            },
+            |mut m| roll_module_par(&mut m, &RolagOptions::default(), jobs),
         );
     }
 
-    // Memoization benefit: the unrolled suite with every kernel duplicated
-    // 3x under fresh names — the structural-duplicate population the cache
-    // targets (75% hit rate).
+    // In-module duplicates: the unrolled suite with every kernel duplicated
+    // 3x under fresh names, so three of every four definitions replay their
+    // representative's roll instead of rolling (75% hit rate).
     let mut dup_suite = suite.clone();
     let ids: Vec<_> = dup_suite.func_ids().collect();
     for k in 1..4 {
@@ -124,19 +115,11 @@ fn main() {
             dup_suite.add_func(f);
         }
     }
-    for (label, memoize) in [("driver_nomemo_dup4", false), ("driver_memo_dup4", true)] {
-        group.bench_batched(
-            label,
-            || dup_suite.clone(),
-            |mut m| {
-                roll_module_par(
-                    &mut m,
-                    &RolagOptions::default(),
-                    &DriverOptions { jobs: 1, memoize },
-                )
-            },
-        );
-    }
+    group.bench_batched(
+        "driver_memo_dup4",
+        || dup_suite.clone(),
+        |mut m| roll_module_par(&mut m, &RolagOptions::default(), 1),
+    );
 
     group.finish();
 }

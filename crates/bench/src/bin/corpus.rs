@@ -10,7 +10,7 @@
 //!
 //! Usage:
 //!   rolag-corpus [--generate N] [--seed S] [--corpus PATH]
-//!                [--mem-budget N[K|M|G]] [--jobs N] [--no-memoize]
+//!                [--mem-budget N[K|M|G]] [--jobs N]
 //!                [--write PATH] [--check-bench PATH]
 //!
 //! `--generate N` (default 1 000 000) streams N single-function modules
@@ -26,7 +26,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use rolag::RolagOptions;
-use rolag_bench::report::{arg_flag, arg_value, write_csv};
+use rolag_bench::report::{arg_value, write_csv};
 use rolag_frontend::corpus::{
     open_corpus, roll_corpus, ContainerWriter, CorpusItem, CorpusIter, CorpusOptions, CorpusReport,
 };
@@ -342,7 +342,6 @@ fn run() -> Result<(), String> {
             .parse()
             .map_err(|_| format!("invalid --jobs value {j:?}"))?;
     }
-    copts.memoize = !arg_flag("--no-memoize");
 
     if let Some(out) = arg_value("--write") {
         let count = write_container(&config, &out).map_err(|e| format!("writing {out}: {e}"))?;

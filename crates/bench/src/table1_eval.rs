@@ -1,6 +1,6 @@
 //! Full-program evaluation driver (Table I: MiBench + SPEC CPU 2017).
 
-use rolag::{roll_module_par, DriverOptions, FixpointCacheStats, RolagOptions, StageTimings};
+use rolag::{roll_module_par, FixpointCacheStats, RolagOptions, StageTimings};
 use rolag_lower::measure_module;
 use rolag_reroll::reroll_module;
 use rolag_suites::programs::{build_program, ProgramSpec, TABLE1};
@@ -62,14 +62,7 @@ pub fn evaluate_program(
     let llvm_stats = reroll_module(&mut llvm_m);
 
     let mut rolag_m = module;
-    let report = roll_module_par(
-        &mut rolag_m,
-        opts,
-        &DriverOptions {
-            jobs: 1,
-            memoize: true,
-        },
-    );
+    let report = roll_module_par(&mut rolag_m, opts, 1);
     let after = measure_module(&rolag_m).code_footprint();
 
     let reduction = base as f64 - after as f64;

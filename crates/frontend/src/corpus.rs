@@ -10,9 +10,7 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use rolag::{
-    roll_module_par_with, DriverOptions, DriverReport, MemoStore, RolagOptions, RolagStats,
-};
+use rolag::{roll_module_par_with, DriverReport, MemoStore, RolagOptions, RolagStats};
 use rolag_ir::module::{GlobalData, GlobalInit};
 use rolag_ir::{Effects, Function, Module};
 use rolag_par::WorkerPool;
@@ -303,8 +301,6 @@ pub struct CorpusOptions {
     pub mem_budget: u64,
     /// Worker count for the parallel driver; `0` means one per core.
     pub jobs: usize,
-    /// Structural memoization within and across batches.
-    pub memoize: bool,
     /// Frontend selection for corpus items.
     pub frontend: FrontendKind,
 }
@@ -314,7 +310,6 @@ impl Default for CorpusOptions {
         CorpusOptions {
             mem_budget: 1 << 30,
             jobs: 0,
-            memoize: true,
             frontend: FrontendKind::Auto,
         }
     }
@@ -369,7 +364,7 @@ pub struct CorpusReport {
     pub batches: u64,
     /// Aggregated pass statistics across all batches.
     pub stats: RolagStats,
-    /// Definitions served by in-batch memoization.
+    /// Definitions that replayed an earlier definition of their batch.
     pub cache_hits: u64,
     /// Definitions replayed from the cross-batch store.
     pub store_hits: u64,
@@ -568,10 +563,6 @@ where
     F: FnMut(&Module, &DriverReport),
 {
     let start = Instant::now();
-    let driver = DriverOptions {
-        jobs: copts.jobs,
-        memoize: copts.memoize,
-    };
     let pool = WorkerPool::new(copts.jobs);
     let store = MemoStore::new(copts.store_capacity());
     let mut report = CorpusReport::default();
@@ -585,9 +576,9 @@ where
         let dr = roll_module_par_with(
             &mut batch.module,
             opts,
-            &driver,
+            copts.jobs,
             Some(&pool),
-            copts.memoize.then_some(&store),
+            Some(&store),
         );
         report.batches += 1;
         report.functions += dr.functions as u64;

@@ -1,12 +1,15 @@
 //! Compact binary module serialization.
 //!
-//! The format is an arena dump: the type store, the globals, and every
-//! function's value/instruction/block arenas verbatim, so a decoded module
-//! is slot-for-slot identical to the encoded one — `print_module(decode(
+//! The format is an arena dump: the globals and every function's
+//! value/instruction/block arenas verbatim, so a decoded module is
+//! slot-for-slot identical to the encoded one — `print_module(decode(
 //! encode(m)))` equals `print_module(m)` byte-for-byte (ids are arena
-//! indices and the printer walks arenas in order). Derived structures
-//! (constant-interning maps, per-instruction result values, name lookup
-//! maps) are rebuilt on decode rather than stored.
+//! indices and the printer walks arenas in order). The one exception is
+//! the type store: it holds the referenced types only, renumbered in
+//! first-use order, so two modules that print the same encode the same
+//! however their type stores grew. Derived structures (constant-interning
+//! maps, per-instruction result values, name lookup maps) are rebuilt on
+//! decode rather than stored.
 //!
 //! Layout: after a fixed 6-byte header, every integer is an unsigned
 //! LEB128 varint (signed constants zigzag-mapped first) and strings are
@@ -16,7 +19,9 @@
 //! ```text
 //! magic   "RLIR"            4 bytes
 //! version u16               little-endian, currently 1
-//! types   count, then tagged [`TypeKind`] records in slot order
+//! types   count, then tagged [`TypeKind`] records: the standard prelude,
+//!         then the types the module references in first-use order
+//!         (members before aggregates)
 //! name    str               module name
 //! globals count, then (name, ty, is_const, tagged init) records
 //! funcs   count, then per function:
@@ -154,11 +159,87 @@ const FLOAT_PREDS: [FloatPredicate; 6] = [
 
 // ---- encoding --------------------------------------------------------------
 
-struct Encoder {
+struct Encoder<'a> {
     out: Vec<u8>,
+    types: TypeOrder<'a>,
 }
 
-impl Encoder {
+/// Wire numbering of a module's types. A module's own slot order records
+/// the history of its type store (for the parallel driver, which worker
+/// rolled what), so it is not written: the wire holds the standard prelude,
+/// then only the types the module references, in first-use order with
+/// members before the aggregates that contain them.
+struct TypeOrder<'a> {
+    store: &'a TypeStore,
+    /// Module slot → wire slot (`u32::MAX` = not numbered yet).
+    wire: Vec<u32>,
+    /// Module slots in wire order.
+    order: Vec<TypeId>,
+    /// Scratch for the post-order walk (type, members already pushed).
+    stack: Vec<(TypeId, bool)>,
+}
+
+impl<'a> TypeOrder<'a> {
+    fn new(store: &'a TypeStore) -> Self {
+        let mut order = TypeOrder {
+            store,
+            wire: vec![u32::MAX; store.num_types()],
+            order: Vec::new(),
+            stack: Vec::new(),
+        };
+        for i in 0..TypeStore::new().num_types() {
+            order.wire_id(TypeId(i as u32));
+        }
+        order
+    }
+
+    /// The wire slot of `ty`, numbering it (members first) on first use.
+    #[inline]
+    fn wire_id(&mut self, ty: TypeId) -> u32 {
+        if self.wire[ty.index()] == u32::MAX {
+            self.number(ty);
+        }
+        self.wire[ty.index()]
+    }
+
+    /// Numbers `ty` and its unnumbered members in post-order. Iterative,
+    /// so deeply nested aggregates cannot exhaust the stack.
+    fn number(&mut self, ty: TypeId) {
+        let store = self.store;
+        self.stack.push((ty, false));
+        while let Some((t, members_pushed)) = self.stack.pop() {
+            if self.wire[t.index()] != u32::MAX {
+                continue;
+            }
+            if members_pushed {
+                self.wire[t.index()] = self.order.len() as u32;
+                self.order.push(t);
+                continue;
+            }
+            self.stack.push((t, true));
+            let first = self.stack.len();
+            match store.kind(t) {
+                TypeKind::Array { elem, .. } => self.stack.push((*elem, false)),
+                TypeKind::Struct { fields } => {
+                    self.stack.extend(fields.iter().map(|&f| (f, false)));
+                }
+                TypeKind::Func { ret, params } => {
+                    self.stack.push((*ret, false));
+                    self.stack.extend(params.iter().map(|&p| (p, false)));
+                }
+                _ => {}
+            }
+            // Pop members in declaration order.
+            self.stack[first..].reverse();
+        }
+    }
+}
+
+impl Encoder<'_> {
+    fn ty(&mut self, ty: TypeId) {
+        let wire = self.types.wire_id(ty);
+        self.u32(wire);
+    }
     fn u8(&mut self, v: u8) {
         self.out.push(v);
     }
@@ -210,22 +291,22 @@ fn encode_type(e: &mut Encoder, kind: &TypeKind) {
         TypeKind::Ptr => e.u8(4),
         TypeKind::Array { elem, len } => {
             e.u8(5);
-            e.u32(elem.index() as u32);
+            e.ty(*elem);
             e.u64(*len);
         }
         TypeKind::Struct { fields } => {
             e.u8(6);
             e.len(fields.len());
             for f in fields {
-                e.u32(f.index() as u32);
+                e.ty(*f);
             }
         }
         TypeKind::Func { ret, params } => {
             e.u8(7);
-            e.u32(ret.index() as u32);
+            e.ty(*ret);
             e.len(params.len());
             for p in params {
-                e.u32(p.index() as u32);
+                e.ty(*p);
             }
         }
     }
@@ -233,13 +314,13 @@ fn encode_type(e: &mut Encoder, kind: &TypeKind) {
 
 fn encode_global(e: &mut Encoder, g: &GlobalData) {
     e.str(&g.name);
-    e.u32(g.ty.index() as u32);
+    e.ty(g.ty);
     e.u8(g.is_const as u8);
     match &g.init {
         GlobalInit::Zero => e.u8(0),
         GlobalInit::Ints { elem_ty, values } => {
             e.u8(1);
-            e.u32(elem_ty.index() as u32);
+            e.ty(*elem_ty);
             e.len(values.len());
             for &v in values {
                 e.i64(v);
@@ -262,16 +343,16 @@ fn encode_value(e: &mut Encoder, def: &ValueDef) {
         ValueDef::Param { index, ty } => {
             e.u8(1);
             e.u32(*index);
-            e.u32(ty.index() as u32);
+            e.ty(*ty);
         }
         ValueDef::ConstInt { ty, value } => {
             e.u8(2);
-            e.u32(ty.index() as u32);
+            e.ty(*ty);
             e.i64(*value);
         }
         ValueDef::ConstFloat { ty, bits } => {
             e.u8(3);
-            e.u32(ty.index() as u32);
+            e.ty(*ty);
             e.u64(*bits);
         }
         ValueDef::GlobalAddr(g) => {
@@ -284,14 +365,14 @@ fn encode_value(e: &mut Encoder, def: &ValueDef) {
         }
         ValueDef::Undef(ty) => {
             e.u8(6);
-            e.u32(ty.index() as u32);
+            e.ty(*ty);
         }
     }
 }
 
 fn encode_inst(e: &mut Encoder, inst: &InstData) {
     e.u8(inst.opcode as u8);
-    e.u32(inst.ty.index() as u32);
+    e.ty(inst.ty);
     e.len(inst.operands.len());
     for op in &inst.operands {
         e.u32(op.index() as u32);
@@ -309,7 +390,7 @@ fn encode_inst(e: &mut Encoder, inst: &InstData) {
         }
         InstExtra::Gep { elem_ty } => {
             e.u8(3);
-            e.u32(elem_ty.index() as u32);
+            e.ty(*elem_ty);
         }
         InstExtra::Call { callee } => {
             e.u8(4);
@@ -336,7 +417,7 @@ fn encode_inst(e: &mut Encoder, inst: &InstData) {
         }
         InstExtra::Alloca { elem_ty } => {
             e.u8(8);
-            e.u32(elem_ty.index() as u32);
+            e.ty(*elem_ty);
         }
     }
 }
@@ -345,9 +426,9 @@ fn encode_function(e: &mut Encoder, f: &Function) {
     e.str(&f.name);
     e.len(f.param_tys().len());
     for ty in f.param_tys() {
-        e.u32(ty.index() as u32);
+        e.ty(*ty);
     }
-    e.u32(f.ret_ty.index() as u32);
+    e.ty(f.ret_ty);
     e.u8(f.is_declaration as u8);
     e.u8(match f.effects {
         Effects::ReadNone => 0,
@@ -396,15 +477,12 @@ fn encode_function(e: &mut Encoder, f: &Function) {
 
 /// Encodes `module` into the compact binary format.
 pub fn encode_module(module: &Module) -> Vec<u8> {
-    let mut e = Encoder { out: Vec::new() };
-    e.out.extend_from_slice(&MAGIC);
-    // The version is fixed-width (not a varint) so the 6-byte header is
-    // stable across versions.
-    e.out.extend_from_slice(&VERSION.to_le_bytes());
-    e.len(module.types.num_types());
-    for i in 0..module.types.num_types() {
-        encode_type(&mut e, module.types.kind(TypeId(i as u32)));
-    }
+    let mut e = Encoder {
+        out: Vec::new(),
+        types: TypeOrder::new(&module.types),
+    };
+    // Types are numbered on first use, so the sections after the type
+    // table are encoded first and appended behind it.
     e.str(&module.name);
     e.len(module.num_globals());
     for g in module.global_ids() {
@@ -414,6 +492,17 @@ pub fn encode_module(module: &Module) -> Vec<u8> {
     for id in module.func_ids() {
         encode_function(&mut e, module.func(id));
     }
+    let body = std::mem::take(&mut e.out);
+    e.out.extend_from_slice(&MAGIC);
+    // The version is fixed-width (not a varint) so the 6-byte header is
+    // stable across versions.
+    e.out.extend_from_slice(&VERSION.to_le_bytes());
+    let order = std::mem::take(&mut e.types.order);
+    e.len(order.len());
+    for &ty in &order {
+        encode_type(&mut e, module.types.kind(ty));
+    }
+    e.out.extend_from_slice(&body);
     e.out
 }
 

@@ -709,7 +709,6 @@ fn run_corpus(cli: &Cli, path: &str) -> ExitCode {
     let copts = CorpusOptions {
         mem_budget: cli.mem_budget.unwrap_or(1 << 30),
         jobs: cli.jobs.unwrap_or(0),
-        memoize: true,
         frontend: cli.frontend,
     };
     let items = match open_corpus(std::path::Path::new(path)) {

@@ -46,9 +46,7 @@
 //! No registered pass adds, removes, or re-annotates function
 //! declarations, so the effects table survives everything.
 
-use rolag::{
-    roll_module_full_rescan_with, roll_module_par, roll_module_with, DriverOptions, RolagOptions,
-};
+use rolag::{roll_module_full_rescan_with, roll_module_par, roll_module_with, RolagOptions};
 use rolag_analysis::{find_loops, DomTree};
 use rolag_ir::{FuncId, Module};
 use rolag_reroll::reroll_module;
@@ -363,14 +361,7 @@ impl ModulePass for RolagPass {
         };
         let stats = match (self.engine, cx.jobs) {
             (RolagEngine::Incremental, Some(n)) => {
-                let report = roll_module_par(
-                    module,
-                    &opts,
-                    &DriverOptions {
-                        jobs: n,
-                        memoize: true,
-                    },
-                );
+                let report = roll_module_par(module, &opts, n);
                 cx.note(format!(
                     "driver: {} functions, {} unique, {} cache hits ({:.1}%), {} workers, {:.2} ms wall",
                     report.functions,

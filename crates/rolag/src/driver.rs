@@ -1,93 +1,63 @@
-//! Parallel, memoizing module driver.
+//! Parallel module driver.
 //!
-//! [`roll_module_par`] fans [`roll_function_rescued`] out over a scoped worker
-//! pool ([`rolag_par`]) and merges the results deterministically, so that a
-//! parallel run produces a **byte-identical printed module and identical
-//! [`RolagStats`]** to the serial [`roll_module`](crate::roll_module) —
-//! regardless of worker count or scheduling order.
+//! [`roll_module_par`] fans [`roll_function_rescued`] out over a scoped
+//! worker pool ([`rolag_par`]) and merges the results deterministically, so
+//! that a parallel run produces a **byte-identical printed module and
+//! identical [`RolagStats`]** to the serial [`roll_module`](crate::roll_module)
+//! — regardless of worker count or scheduling order.
 //!
-//! # How determinism is preserved
+//! # One key, one replay path
 //!
-//! The pass only reads the module for *shared context*: the type store,
-//! globals, function signatures, and call effects. It never inspects the
-//! body of any function other than the one being rolled. Each worker
-//! therefore rolls its assigned functions inside a private module clone,
-//! and the driver merges the pieces back serially in function-id order:
+//! Every definition is keyed with the closure key of
+//! [`store_key`](crate::memo::store_key) and grouped by it; the lowest
+//! function id of a group is its representative. Each group gets one
+//! [`StoreEntry`]: from the cross-request [`MemoStore`] when one is given
+//! and holds the key, else by rolling the representative inside a worker's
+//! private module clone and capturing the result there. The pass only reads
+//! the module for *shared context* (types, globals, signatures, call
+//! effects), never another function's body, so a worker clone rolls a
+//! function exactly as the serial pass would.
 //!
-//! * **Globals.** Constant arrays minted by codegen get worker-local names.
-//!   At merge time each one is renamed through
+//! The merge then hands every definition its group's entry through
+//! `StoreEntry::replay`, serially in function-id order — store hits,
+//! in-module duplicates, and fresh rolls alike:
+//!
+//! * **Globals.** Replay mints each constant array the roll created through
 //!   [`Module::fresh_global_name`] against the *merged* module, which walks
-//!   functions in the same order as the serial pass — reproducing the
-//!   serial names exactly. Rolled bodies are rewritten with
-//!   [`Function::remap_globals`].
-//! * **Types.** Worker stores are absorbed via [`TypeStore::absorb`] and
-//!   bodies rewritten with [`Function::remap_types`]. Interned type *ids*
-//!   may differ from a serial run, but ids are never printed — types
-//!   render structurally — so the output is unaffected.
-//! * **Stats.** Per-function statistics are summed in function-id order.
-//!   Wall-clock [`StageTimings`](crate::stats::StageTimings) are excluded
-//!   from `RolagStats` equality, so outcome comparison is exact.
+//!   functions in the same order as the serial pass, so the names come out
+//!   exactly as serial ones.
+//! * **Types.** Replay absorbs the donor worker's type store
+//!   ([`TypeStore::absorb`](rolag_ir::TypeStore::absorb)). Interned type ids
+//!   may differ from a serial run, but the printer renders types
+//!   structurally and the binary encoder renumbers them in first-use order,
+//!   so neither output depends on them.
+//! * **Symbols.** Replay re-targets self-calls to the destination and keeps
+//!   its own name and effects annotation, so duplicates (recursive ones
+//!   included) keep their identity.
+//! * **Stats.** Each definition adds its entry's statistics in function-id
+//!   order, so duplicates report the counters their representative's run
+//!   produced. Wall-clock [`StageTimings`](crate::stats::StageTimings) are
+//!   excluded from `RolagStats` equality, so outcome comparison is exact.
 //!
-//! # Memoization
-//!
-//! Large modules (e.g. AnghaBench translation units) contain many
-//! structurally identical functions. With [`DriverOptions::memoize`] the
-//! driver groups definitions by a canonical key — the printed function with
-//! its own symbol name normalized out — rolls one representative per
-//! group, and replays the result onto every duplicate: fresh constant
-//! arrays are minted per duplicate (matching what the serial pass would
-//! have created) and self-references are remapped, so even cache hits are
-//! byte-identical to the serial output.
-//!
-//! Replayed stats include the representative's
-//! [`FixpointCacheStats`](crate::stats::FixpointCacheStats) — duplicates
-//! report the same fixpoint cache counters their representative's actual
-//! run produced, keeping aggregate counters identical to a serial run.
-//!
-//! Local value names never block sharing: the printer renumbers temps
-//! canonically (`%0`, `%1`, ...), so two functions that differ only in
-//! source-level temp names produce identical keys — and replaying one's
-//! body onto the other is still byte-identical, for the same reason.
-//! Beyond that the key is deliberately byte-strict: any structural
-//! difference (an opcode, a constant, a referenced global) separates the
-//! slots, because replay splices the representative's rolled body verbatim
-//! and anything looser would diverge from what a serial run produces. The
-//! TSVC kernels therefore never share — they are structurally distinct,
-//! not spuriously split by naming.
+//! The key is deliberately byte-strict: any structural difference (an
+//! opcode, a constant, a referenced global, an effects annotation) separates
+//! groups, because replay splices the representative's rolled body verbatim.
+//! Local value names never split a group — the printer renumbers temps
+//! canonically — so the TSVC kernels never share because they are
+//! structurally distinct, not because of naming.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use rolag_ir::printer::print_function;
-use rolag_ir::{FuncId, Function, GlobalData, GlobalId, Module};
+use rolag_ir::{FuncId, Module, TypeStore};
 use rolag_par::{effective_jobs, par_map_with, WorkerPool};
 use rolag_transforms::effects_table;
 
-use crate::memo::{store_key, store_key_from, MemoStore, StoreEntry};
+use crate::memo::{store_key, MemoStore, StoreEntry};
 use crate::options::RolagOptions;
 use crate::pass::roll_function_rescued;
 use crate::stats::RolagStats;
-
-/// Configuration of the parallel driver.
-#[derive(Debug, Clone)]
-pub struct DriverOptions {
-    /// Worker count; `0` means one per available core.
-    pub jobs: usize,
-    /// Roll one representative per structurally identical group of
-    /// functions and replay the result onto the duplicates.
-    pub memoize: bool,
-}
-
-impl Default for DriverOptions {
-    fn default() -> Self {
-        DriverOptions {
-            jobs: 0,
-            memoize: true,
-        }
-    }
-}
 
 /// What one [`roll_module_par`] run did, beyond the pass statistics.
 #[derive(Debug, Clone, Default)]
@@ -96,9 +66,10 @@ pub struct DriverReport {
     pub stats: RolagStats,
     /// Function definitions processed.
     pub functions: usize,
-    /// Structurally distinct definitions actually rolled.
+    /// Distinct closure keys among the definitions.
     pub unique: usize,
-    /// Definitions served from the memoization cache.
+    /// Definitions that shared a closure key with a lower-id definition of
+    /// the same module and received its entry.
     pub cache_hits: u64,
     /// Definitions whose body the pass rewrote — including duplicates
     /// that received a rewritten representative's body and store-replayed
@@ -135,78 +106,12 @@ impl DriverReport {
     }
 }
 
-/// Canonical cache key of a definition: its printed form with the
-/// function's own `@name` tokens normalized, so structurally identical
-/// functions under different symbols compare equal (including
-/// self-recursive ones).
-///
-/// If a *global* shares the function's name, `@name` tokens in the body are
-/// ambiguous and normalization is skipped — the function simply won't
-/// share a cache slot, which is always safe.
-pub(crate) fn canonical_key(module: &Module, id: FuncId) -> String {
-    let func = module.func(id);
-    let printed = print_function(module, func);
-    if module.global_by_name(&func.name).is_some() {
-        return printed;
-    }
-    normalize_own_name(&printed, &func.name)
-}
-
-fn is_symbol_char(c: char) -> bool {
-    c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '-' | '$')
-}
-
-/// Replaces exact `@name` tokens with a placeholder that no parsed symbol
-/// can collide with. Token-boundary checked, so `@f` inside `@f2` is left
-/// alone.
-fn normalize_own_name(printed: &str, name: &str) -> String {
-    let needle = format!("@{name}");
-    let mut out = String::with_capacity(printed.len());
-    let mut rest = printed;
-    while let Some(pos) = rest.find(&needle) {
-        let tail = &rest[pos + needle.len()..];
-        let at_boundary = tail.chars().next().is_none_or(|c| !is_symbol_char(c));
-        out.push_str(&rest[..pos]);
-        out.push_str(if at_boundary { "@\u{1}self" } else { &needle });
-        rest = tail;
-    }
-    out.push_str(rest);
-    out
-}
-
-/// `prefix` such that `fresh_global_name(prefix)` can reproduce `name`:
-/// the name with a trailing `.<digits>` counter stripped.
-pub(crate) fn name_prefix(name: &str) -> &str {
-    match name.rfind('.') {
-        Some(pos)
-            if pos > 0
-                && !name[pos + 1..].is_empty()
-                && name[pos + 1..].chars().all(|c| c.is_ascii_digit()) =>
-        {
-            &name[..pos]
-        }
-        _ => name,
-    }
-}
-
-/// Outcome of rolling one representative inside a worker's module clone.
-struct RepRoll {
-    /// Rolled body, in the worker's id spaces — `None` when the pass
-    /// committed nothing, so the function (and any structural duplicate of
-    /// it) is byte-identical to the input and needs no merge work.
-    func: Option<Function>,
-    stats: RolagStats,
-    /// Constant-array globals the roll committed, in creation order.
-    new_globals: Vec<GlobalData>,
-    /// Worker-module index of the first entry of `new_globals`.
-    first_new_global: usize,
-    /// Which worker produced this (indexes the returned states).
-    worker: usize,
-}
-
-struct WorkerState {
+/// A worker's private module clone, plus the slot its type store moves
+/// into once the worker is done: the store keeps growing while the worker
+/// rolls, and entries captured along the way share the final one.
+struct Worker {
     module: Module,
-    id: usize,
+    types: Arc<OnceLock<TypeStore>>,
 }
 
 /// Fans `job` out over `items`: on the persistent `pool` when one is given
@@ -232,32 +137,23 @@ where
     }
 }
 
-/// Rolls every function of the module on a worker pool, memoizing
-/// structurally identical definitions, and merges the results so the
-/// printed module and the statistics are identical to a serial
-/// [`roll_module`](crate::roll_module) run.
-pub fn roll_module_par(
-    module: &mut Module,
-    opts: &RolagOptions,
-    driver: &DriverOptions,
-) -> DriverReport {
-    roll_module_par_with(module, opts, driver, None, None)
+/// Rolls every function of the module on `jobs` workers (`0` means one
+/// per available core), rolling each distinct closure key once, and merges
+/// the results so the printed module and the statistics are identical to a
+/// serial [`roll_module`](crate::roll_module) run.
+pub fn roll_module_par(module: &mut Module, opts: &RolagOptions, jobs: usize) -> DriverReport {
+    roll_module_par_with(module, opts, jobs, None, None)
 }
 
 /// [`roll_module_par`] with service hooks: an optional persistent
 /// [`WorkerPool`] (reused across calls instead of spawning a scoped pool
-/// per module) and an optional cross-request [`MemoStore`].
-///
-/// With a store, each group representative's closure key
-/// ([`store_key`]) is consulted first: hits replay a previously rolled body
-/// into this module — byte-identical to rolling it cold, because replay
-/// re-mints constant-array names through the same serial-order
-/// [`Module::fresh_global_name`] walk — and only misses are rolled. Freshly
-/// rolled representatives are captured back into the store after the merge.
+/// per module; `jobs` is then ignored) and an optional cross-request
+/// [`MemoStore`]. Groups whose key the store holds are replayed from it
+/// without rolling; freshly rolled entries are inserted into it.
 pub fn roll_module_par_with(
     module: &mut Module,
     opts: &RolagOptions,
-    driver: &DriverOptions,
+    jobs: usize,
     pool: Option<&WorkerPool>,
     store: Option<&MemoStore>,
 ) -> DriverReport {
@@ -266,246 +162,92 @@ pub fn roll_module_par_with(
         .func_ids()
         .filter(|&id| !module.func(id).is_declaration)
         .collect();
-    let base_globals = module.num_globals();
-    let base_types = module.types.num_types();
     let effects = effects_table(module);
-
-    // Group definitions by canonical key (everything is its own group when
-    // memoization is off). Representatives keep the lowest function id so
-    // the merge below walks them in serial order. The printed keys are kept
-    // alive past grouping: the store-key pass below reuses each
-    // representative's canonical text instead of printing it a second time.
     let shared: &Module = module;
-    let mut groups: Vec<(FuncId, Vec<FuncId>)> = Vec::new();
-    let mut canon_keys: Vec<String> = Vec::new();
-    let mut rep_canon: Vec<usize> = Vec::new();
-    if driver.memoize {
-        canon_keys = fan_out(
-            pool,
-            &ids,
-            driver.jobs,
-            || (),
-            |(), _, &id| canonical_key(shared, id),
-        )
-        .0;
-        let mut by_key: HashMap<&str, usize> = HashMap::new();
-        for (i, &id) in ids.iter().enumerate() {
-            match by_key.entry(canon_keys[i].as_str()) {
-                std::collections::hash_map::Entry::Occupied(slot) => {
-                    groups[*slot.get()].1.push(id);
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(groups.len());
-                    rep_canon.push(i);
-                    groups.push((id, Vec::new()));
-                }
-            }
-        }
-    } else {
-        groups = ids.iter().map(|&id| (id, Vec::new())).collect();
-    }
-    let group_of: HashMap<FuncId, usize> = groups
-        .iter()
-        .enumerate()
-        .flat_map(|(gi, (rep, dups))| {
-            std::iter::once((*rep, gi)).chain(dups.iter().map(move |&d| (d, gi)))
-        })
-        .collect();
-    let reps: Vec<FuncId> = groups.iter().map(|&(rep, _)| rep).collect();
 
-    // Cross-request store: closure-key every representative and consult the
-    // store before rolling anything. A hit retires the whole group. With
-    // memoization on, the grouping pass already printed each representative
-    // canonically — only the context sections remain to be rendered.
-    let store_keys: Vec<String> = match store {
-        Some(_) if driver.memoize => {
-            let canon: Vec<&str> = rep_canon.iter().map(|&i| canon_keys[i].as_str()).collect();
-            fan_out(
-                pool,
-                &canon,
-                driver.jobs,
-                || (),
-                |(), gi, &text| store_key_from(text, shared, reps[gi], opts),
-            )
-            .0
-        }
-        Some(_) => {
-            fan_out(
-                pool,
-                &reps,
-                driver.jobs,
-                || (),
-                |(), _, &fid| store_key(shared, fid, opts),
-            )
-            .0
-        }
-        None => Vec::new(),
-    };
-    let store_entries: Vec<Option<Arc<StoreEntry>>> = match store {
-        Some(s) => store_keys.iter().map(|k| s.get(k)).collect(),
-        None => vec![None; reps.len()],
-    };
-    let to_roll: Vec<FuncId> = reps
-        .iter()
-        .enumerate()
-        .filter(|&(gi, _)| store_entries[gi].is_none())
-        .map(|(_, &fid)| fid)
-        .collect();
-    let mut roll_of: Vec<Option<usize>> = vec![None; reps.len()];
-    {
-        let mut next = 0;
-        for (gi, entry) in store_entries.iter().enumerate() {
-            if entry.is_none() {
-                roll_of[gi] = Some(next);
-                next += 1;
-            }
-        }
-    }
-
-    // Roll one representative per store-missed group, each worker inside
-    // its own module clone. Dynamic scheduling decides *which* worker rolls
-    // *what*, but every result is independent of that choice.
-    let jobs = match pool {
-        Some(p) => p.worker_count().clamp(1, reps.len().max(1)),
-        None => effective_jobs(driver.jobs, reps.len()),
-    };
-    let worker_tag = AtomicUsize::new(0);
-    let (rolls, states) = fan_out(
+    // Key and group every definition. Groups are numbered in first-seen
+    // order, so representatives are the lowest ids and `reps` is sorted.
+    let keys = fan_out(
         pool,
-        &to_roll,
-        driver.jobs,
-        || WorkerState {
+        &ids,
+        jobs,
+        || (),
+        |(), _, &id| store_key(shared, id, opts),
+    )
+    .0;
+    let mut group_of: Vec<usize> = Vec::with_capacity(ids.len());
+    let mut reps: Vec<usize> = Vec::new();
+    {
+        let mut by_key: HashMap<&str, usize> = HashMap::new();
+        for (i, key) in keys.iter().enumerate() {
+            let gi = *by_key.entry(key).or_insert_with(|| {
+                reps.push(i);
+                reps.len() - 1
+            });
+            group_of.push(gi);
+        }
+    }
+    let mut entries: Vec<Option<Arc<StoreEntry>>> = reps
+        .iter()
+        .map(|&i| store.and_then(|s| s.get(&keys[i])))
+        .collect();
+    let store_hit: Vec<bool> = entries.iter().map(Option::is_some).collect();
+
+    // Roll each store-missed representative in a worker clone and capture
+    // it there. Dynamic scheduling decides *which* worker rolls *what*, but
+    // every entry is independent of that choice.
+    let missed: Vec<usize> = (0..reps.len()).filter(|&gi| !store_hit[gi]).collect();
+    let (fresh, workers) = fan_out(
+        pool,
+        &missed,
+        jobs,
+        || Worker {
             module: shared.clone(),
-            id: worker_tag.fetch_add(1, Ordering::Relaxed),
+            types: Arc::new(OnceLock::new()),
         },
-        |state, _idx, &fid| {
-            let before = state.module.num_globals();
-            let stats = roll_function_rescued(&mut state.module, fid, opts, &effects);
-            let changed = stats.rolled > 0 || state.module.num_globals() != before;
-            let new_globals = (before..state.module.num_globals())
-                .map(|g| state.module.global(GlobalId::from_index(g)).clone())
-                .collect();
-            RepRoll {
-                func: changed.then(|| state.module.func(fid).clone()),
-                stats,
-                new_globals,
-                first_new_global: before,
-                worker: state.id,
-            }
+        |w, _, &gi| {
+            let fid = ids[reps[gi]];
+            let first_new_global = w.module.num_globals();
+            let stats = roll_function_rescued(&mut w.module, fid, opts, &effects);
+            StoreEntry::capture(&w.module, fid, first_new_global, stats, &w.types)
         },
     );
-
-    // Absorb every worker's type store into the merged module, recording
-    // the per-worker id translation.
-    let mut type_maps: Vec<Vec<rolag_ir::TypeId>> = vec![Vec::new(); states.len()];
-    for state in &states {
-        type_maps[state.id] = module.types.absorb(&state.module.types, base_types);
+    for w in workers {
+        let _ = w.types.set(w.module.types);
     }
-    let identity_map: Vec<bool> = type_maps
-        .iter()
-        .map(|m| m.iter().enumerate().all(|(i, t)| t.index() == i))
-        .collect();
+    for (&gi, entry) in missed.iter().zip(fresh) {
+        let entry = Arc::new(entry);
+        if let Some(s) = store {
+            s.insert(keys[reps[gi]].clone(), Arc::clone(&entry));
+        }
+        entries[gi] = Some(entry);
+    }
 
-    // Merge serially in function-id order — the order the serial pass
-    // walks — so fresh global names come out identical, whether a body is
-    // spliced from this request's rolls or replayed from the store.
+    // Replay serially in function-id order — the order the serial pass
+    // walks — so fresh global names come out identical.
     let mut report = DriverReport {
         functions: ids.len(),
         unique: reps.len(),
-        jobs,
+        jobs: match pool {
+            Some(p) => p.worker_count().clamp(1, reps.len().max(1)),
+            None => effective_jobs(jobs, reps.len()),
+        },
         ..Default::default()
     };
-    let mut minted_for_rep: Vec<Vec<GlobalId>> = vec![Vec::new(); reps.len()];
-    for &fid in &ids {
-        let gi = group_of[&fid];
-        let rep = reps[gi];
-        if fid != rep {
+    for (i, &fid) in ids.iter().enumerate() {
+        let gi = group_of[i];
+        let entry = entries[gi].as_ref().expect("every group has an entry");
+        if reps[gi] != i {
             report.cache_hits += 1;
         }
-        if let Some(entry) = &store_entries[gi] {
-            report.stats += entry.stats;
+        if store_hit[gi] {
             report.store_hits += 1;
-            if entry.replay(module, fid) {
-                report.changed += 1;
-            }
-            continue;
-        }
-        if store.is_some() {
+        } else if store.is_some() {
             report.store_misses += 1;
         }
-        let roll = &rolls[roll_of[gi].expect("missed groups were rolled")];
-        report.stats += roll.stats;
-        // Nothing committed: the input body (and any duplicate of it) is
-        // already what the serial pass would produce.
-        let Some(rolled) = &roll.func else {
-            continue;
-        };
-        report.changed += 1;
-        let type_map = &type_maps[roll.worker];
-        let mut func = rolled.clone();
-
-        // Mint this function's constant arrays with serial-order names and
-        // point the body at them.
-        let mut global_map: HashMap<GlobalId, GlobalId> = HashMap::new();
-        let mut minted: Vec<GlobalId> = Vec::with_capacity(roll.new_globals.len());
-        for (offset, data) in roll.new_globals.iter().enumerate() {
-            let name = module.fresh_global_name(name_prefix(&data.name));
-            let mut data = data.clone();
-            data.ty = type_map[data.ty.index()];
-            data.name = name;
-            let merged_id = module.add_global(data);
-            minted.push(merged_id);
-            global_map.insert(
-                GlobalId::from_index(roll.first_new_global + offset),
-                merged_id,
-            );
-        }
-        func.remap_globals(|g| {
-            if g.index() < base_globals {
-                g
-            } else {
-                *global_map
-                    .get(&g)
-                    .expect("rolled function references a global outside its own roll")
-            }
-        });
-        if !identity_map[roll.worker] {
-            func.remap_types(|t| type_map[t.index()]);
-        }
-
-        // Cache hit: retarget the representative's body onto the duplicate.
-        if fid != rep {
-            let target = module.func(fid);
-            func.name = target.name.clone();
-            // The annotation is caller-facing metadata the printer may not
-            // show; keep the duplicate's own.
-            func.effects = target.effects;
-            func.remap_funcs(|f| if f == rep { fid } else { f });
-        } else {
-            minted_for_rep[gi] = minted;
-        }
-        module.replace_func(fid, func);
-    }
-
-    // Capture freshly rolled representatives into the store, in their
-    // final merged form (so replay needs no per-request translation state
-    // beyond the entry itself).
-    if let Some(s) = store {
-        let types = Arc::new(module.types.clone());
-        for (gi, &rep) in reps.iter().enumerate() {
-            if store_entries[gi].is_some() {
-                continue;
-            }
-            let roll = &rolls[roll_of[gi].expect("missed groups were rolled")];
-            let entry = StoreEntry::capture(
-                module,
-                rep,
-                &minted_for_rep[gi],
-                roll.func.is_some(),
-                roll.stats,
-                &types,
-            );
-            s.insert(store_keys[gi].clone(), Arc::new(entry));
+        report.stats += entry.stats;
+        if entry.replay(module, fid) {
+            report.changed += 1;
         }
     }
     report.wall_ns = start.elapsed().as_nanos() as u64;
@@ -515,9 +257,11 @@ pub fn roll_module_par_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memo::canonical_key;
     use crate::pass::roll_module;
     use rolag_ir::printer::print_module;
     use rolag_ir::verify::verify_module;
+    use rolag_ir::{encode_module, Effects};
 
     fn rollable_body(offset: usize) -> String {
         let mut body = String::new();
@@ -551,26 +295,19 @@ mod tests {
         let serial_stats = roll_module(&mut serial, &opts);
         assert!(serial_stats.rolled >= 6, "fixture must actually roll");
 
-        for memoize in [false, true] {
-            for jobs in [1, 4] {
-                let mut par = original.clone();
-                let report = roll_module_par(&mut par, &opts, &DriverOptions { jobs, memoize });
-                verify_module(&par).expect("merged module verifies");
-                assert_eq!(
-                    print_module(&serial),
-                    print_module(&par),
-                    "jobs={jobs} memoize={memoize} must be byte-identical"
-                );
-                assert_eq!(report.stats, serial_stats);
-                assert_eq!(report.functions, 6);
-                if memoize {
-                    assert_eq!(report.unique, 2);
-                    assert_eq!(report.cache_hits, 4);
-                } else {
-                    assert_eq!(report.unique, 6);
-                    assert_eq!(report.cache_hits, 0);
-                }
-            }
+        for jobs in [1, 4] {
+            let mut par = original.clone();
+            let report = roll_module_par(&mut par, &opts, jobs);
+            verify_module(&par).expect("merged module verifies");
+            assert_eq!(
+                print_module(&serial),
+                print_module(&par),
+                "jobs={jobs} must be byte-identical"
+            );
+            assert_eq!(report.stats, serial_stats);
+            assert_eq!(report.functions, 6);
+            assert_eq!(report.unique, 2);
+            assert_eq!(report.cache_hits, 4);
         }
     }
 
@@ -602,7 +339,7 @@ mod tests {
         let mut serial = original.clone();
         roll_module(&mut serial, &opts);
         let mut par = original.clone();
-        let report = roll_module_par(&mut par, &opts, &DriverOptions::default());
+        let report = roll_module_par(&mut par, &opts, 0);
         assert_eq!(report.cache_hits, 1, "@f1 replays @f0's roll");
         assert_eq!(report.unique, 1);
         assert_eq!(
@@ -610,6 +347,36 @@ mod tests {
             print_module(&par),
             "replay across renamed twins stays byte-identical"
         );
+    }
+
+    /// Two in-module duplicates that differ only in their own effects
+    /// annotation (which the printer does not show on definitions): the
+    /// closure key keeps them apart, each keeps its annotation, and the
+    /// binary output — which does carry it — equals the serial roll's.
+    #[test]
+    fn effects_only_twins_split_and_keep_their_annotations() {
+        let mut original = duplicated_module(2);
+        let f1 = original.func_by_name("f1").unwrap();
+        original.func_mut(f1).effects = Effects::ReadOnly;
+
+        let opts = RolagOptions::default();
+        let mut serial = original.clone();
+        let serial_stats = roll_module(&mut serial, &opts);
+        for jobs in [1, 2] {
+            let mut par = original.clone();
+            let report = roll_module_par(&mut par, &opts, jobs);
+            assert_eq!(report.unique, 3, "the annotation splits @f0 and @f1");
+            assert_eq!(report.cache_hits, 0);
+            assert_eq!(report.stats, serial_stats);
+            let f0 = par.func_by_name("f0").unwrap();
+            assert_eq!(par.func(f0).effects, Effects::ReadWrite);
+            assert_eq!(par.func(f1).effects, Effects::ReadOnly);
+            assert_eq!(
+                encode_module(&serial),
+                encode_module(&par),
+                "jobs={jobs} binary output diverged"
+            );
+        }
     }
 
     /// Cross-request store: a second request with structurally identical
@@ -622,13 +389,7 @@ mod tests {
 
         let first = duplicated_module(3);
         let mut warmup = first.clone();
-        let warm_report = roll_module_par_with(
-            &mut warmup,
-            &opts,
-            &DriverOptions::default(),
-            None,
-            Some(&store),
-        );
+        let warm_report = roll_module_par_with(&mut warmup, &opts, 0, None, Some(&store));
         assert_eq!(warm_report.store_hits, 0);
         assert_eq!(warm_report.store_misses, 4, "every definition missed");
         assert!(!store.is_empty());
@@ -643,13 +404,7 @@ mod tests {
         let cold_stats = roll_module(&mut cold, &opts);
 
         let mut warm = second.clone();
-        let report = roll_module_par_with(
-            &mut warm,
-            &opts,
-            &DriverOptions::default(),
-            None,
-            Some(&store),
-        );
+        let report = roll_module_par_with(&mut warm, &opts, 0, None, Some(&store));
         verify_module(&warm).expect("replayed module verifies");
         assert_eq!(report.store_hits, 4, "all definitions replay: {report:?}");
         assert_eq!(report.store_misses, 0);
@@ -669,37 +424,14 @@ mod tests {
         let original = duplicated_module(4);
         let opts = RolagOptions::default();
         let mut scoped = original.clone();
-        let scoped_report = roll_module_par(&mut scoped, &opts, &DriverOptions::default());
+        let scoped_report = roll_module_par(&mut scoped, &opts, 0);
 
         let pool = rolag_par::WorkerPool::new(3);
         let mut pooled = original.clone();
-        let report = roll_module_par_with(
-            &mut pooled,
-            &opts,
-            &DriverOptions::default(),
-            Some(&pool),
-            None,
-        );
+        let report = roll_module_par_with(&mut pooled, &opts, 0, Some(&pool), None);
         assert_eq!(print_module(&scoped), print_module(&pooled));
         assert_eq!(report.stats, scoped_report.stats);
         assert_eq!(report.jobs, 2, "3 pool workers clamped to 2 unique groups");
-    }
-
-    #[test]
-    fn own_name_normalization_is_token_exact() {
-        let s = "func @f(i32 %p0) -> void {\n  call @f2(%p0)\n  call @f(%p0)\n";
-        let n = normalize_own_name(s, "f");
-        assert!(n.contains("@f2"), "prefix symbol must survive");
-        assert!(n.contains("@\u{1}self"), "own tokens replaced");
-        assert!(!n.contains("call @f("), "own call site normalized");
-    }
-
-    #[test]
-    fn name_prefix_strips_counters() {
-        assert_eq!(name_prefix("rolag.cdata.17"), "rolag.cdata");
-        assert_eq!(name_prefix("rolag.cdata"), "rolag.cdata");
-        assert_eq!(name_prefix("plain"), "plain");
-        assert_eq!(name_prefix("dotted.name"), "dotted.name");
     }
 
     #[test]
@@ -736,7 +468,7 @@ done:
         let mut serial = original.clone();
         roll_module(&mut serial, &opts);
         let mut par = original.clone();
-        let report = roll_module_par(&mut par, &opts, &DriverOptions::default());
+        let report = roll_module_par(&mut par, &opts, 0);
         assert_eq!(report.cache_hits, 1, "@b is a cache hit of @a");
         assert_eq!(print_module(&serial), print_module(&par));
         // @b must still call itself, not @a.

@@ -60,7 +60,7 @@ pub mod stats;
 pub use align::{
     build_candidate_graph, AlignGraph, AlignNode, DotInfo, GraphBuilder, NodeId, NodeKind,
 };
-pub use driver::{roll_module_par, roll_module_par_with, DriverOptions, DriverReport};
+pub use driver::{roll_module_par, roll_module_par_with, DriverReport};
 pub use memo::{store_key, MemoStore, MemoStoreStats, StoreEntry};
 pub use options::{RolagOptions, SearchConfig};
 pub use pass::{

@@ -1,34 +1,37 @@
-//! Cross-request content-addressed rolling cache.
+//! The closure key and the replay path: one key format and one way to
+//! splice a rolled body into a module, shared by the module driver and
+//! the cross-request store.
 //!
-//! [`roll_module_par`](crate::driver::roll_module_par) memoizes structurally
-//! identical functions *within* one module; everything it learns dies with
-//! the call. The [`MemoStore`] generalizes that memo across requests: a
-//! sharded, capacity-bounded (clock / second-chance eviction) map from a
-//! function's **closure key** to its rolled body, [`RolagStats`], and — via
-//! those stats — its translation-validation verdict, so a long-lived service
-//! (`rolag-serve`) compiles identical code from different clients once.
+//! [`roll_module_par`](crate::driver::roll_module_par) groups a module's
+//! definitions by [`store_key`], rolls one representative per group, and
+//! hands every definition its group's [`StoreEntry`] through
+//! `StoreEntry::replay`. The [`MemoStore`] keeps those entries across
+//! calls: a sharded, capacity-bounded (clock / second-chance eviction) map
+//! from closure key to rolled body, [`RolagStats`], and — via those stats —
+//! the translation-validation verdict, so a long-lived service
+//! (`rolag-serve`) or a batched corpus run compiles identical code once.
 //!
 //! # Soundness: the closure key
 //!
-//! The per-module memo can key on the canonical printed function alone
-//! because duplicates live in the *same* module — every `@symbol` in the
-//! body resolves to the same definition. Across requests that assumption is
-//! gone: two clients can both define `@tab` with different initializers.
-//! [`store_key`] therefore extends the canonical text with everything the
-//! pass is allowed to read outside the function
-//! ([`crate::driver`] invariant: shared context only, never another
-//! function's body):
+//! Replay splices a body that was rolled in another module (a worker's
+//! clone, or an earlier request), so the key must pin everything the pass
+//! is allowed to read outside the function ([`crate::driver`] invariant:
+//! shared context only, never another function's body). Two clients can
+//! both define `@tab` with different initializers, so [`store_key`] is the
+//! canonical function text (temps renumbered, the function's own name
+//! normalized) extended with:
 //!
 //! * the printed definition of every global the function references,
 //! * the name, signature, and effects annotation of every callee,
 //! * the function's own effects annotation (self-calls read it),
 //! * a fingerprint of the [`RolagOptions`] in force.
 //!
-//! A hit therefore guarantees the requesting module contains identically
+//! A hit therefore guarantees the destination module contains identically
 //! defined referenced symbols, which makes replay sound — and byte-identical
 //! to a cold roll, because replay re-mints constant-array names with the
 //! same [`fresh_global_name`](Module::fresh_global_name) walk a cold run
-//! would perform (enforced by `tests/serve_determinism.rs`).
+//! would perform (enforced by `tests/driver_par.rs` and
+//! `tests/serve_determinism.rs`).
 //!
 //! Keys are compared as full strings, never as hashes, so a (astronomically
 //! unlikely, but catastrophic) hash collision degrades into shard imbalance
@@ -38,16 +41,68 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
-use rolag_ir::printer::print_global;
+use rolag_ir::printer::{print_function, print_global};
 use rolag_ir::{
     FuncId, Function, GlobalData, GlobalId, InstExtra, Module, TypeStore, ValueDef, ValueId,
 };
 
-use crate::driver::{canonical_key, name_prefix};
 use crate::options::RolagOptions;
 use crate::stats::RolagStats;
+
+/// Canonical text of a definition: its printed form with the function's
+/// own `@name` tokens normalized, so structurally identical functions under
+/// different symbols compare equal (including self-recursive ones).
+///
+/// If a *global* shares the function's name, `@name` tokens in the body are
+/// ambiguous and normalization is skipped — the function simply won't
+/// share a key, which is always safe.
+pub(crate) fn canonical_key(module: &Module, id: FuncId) -> String {
+    let func = module.func(id);
+    let printed = print_function(module, func);
+    if module.global_by_name(&func.name).is_some() {
+        return printed;
+    }
+    normalize_own_name(&printed, &func.name)
+}
+
+fn is_symbol_char(c: char) -> bool {
+    c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '-' | '$')
+}
+
+/// Replaces exact `@name` tokens with a placeholder that no parsed symbol
+/// can collide with. Token-boundary checked, so `@f` inside `@f2` is left
+/// alone.
+fn normalize_own_name(printed: &str, name: &str) -> String {
+    let needle = format!("@{name}");
+    let mut out = String::with_capacity(printed.len());
+    let mut rest = printed;
+    while let Some(pos) = rest.find(&needle) {
+        let tail = &rest[pos + needle.len()..];
+        let at_boundary = tail.chars().next().is_none_or(|c| !is_symbol_char(c));
+        out.push_str(&rest[..pos]);
+        out.push_str(if at_boundary { "@\u{1}self" } else { &needle });
+        rest = tail;
+    }
+    out.push_str(rest);
+    out
+}
+
+/// `prefix` such that `fresh_global_name(prefix)` can reproduce `name`:
+/// the name with a trailing `.<digits>` counter stripped.
+fn name_prefix(name: &str) -> &str {
+    match name.rfind('.') {
+        Some(pos)
+            if pos > 0
+                && !name[pos + 1..].is_empty()
+                && name[pos + 1..].chars().all(|c| c.is_ascii_digit()) =>
+        {
+            &name[..pos]
+        }
+        _ => name,
+    }
+}
 
 /// Globals and functions a function's value/instruction arenas reference.
 /// Walks the full value arena (dead entries included — replay splices the
@@ -94,30 +149,15 @@ fn callee_line(module: &Module, f: FuncId) -> String {
     )
 }
 
-/// The cross-request closure key of function `id` under `opts`: canonical
-/// function text plus the referenced-context and options sections described
-/// in the module docs. Deterministic for structurally identical functions
+/// The closure key of function `id` under `opts`: canonical function text
+/// plus the referenced-context and options sections described in the
+/// module docs. Deterministic for structurally identical functions
 /// regardless of arena layout (context sections are name-sorted).
 pub fn store_key(module: &Module, id: FuncId, opts: &RolagOptions) -> String {
-    store_key_from(&canonical_key(module, id), module, id, opts)
-}
-
-/// [`store_key`] with the canonical function text already in hand. The
-/// driver's grouping pass prints every function once to build its memo
-/// groups; threading that text through here means the service's warm path
-/// prints each function once per request instead of twice — the context
-/// sections appended below are cheap next to a full function print.
-pub(crate) fn store_key_from(
-    canonical: &str,
-    module: &Module,
-    id: FuncId,
-    opts: &RolagOptions,
-) -> String {
     let func = module.func(id);
     let (globals, funcs) = referenced_symbols(func);
 
-    let mut key = String::with_capacity(canonical.len() + 256);
-    key.push_str(canonical);
+    let mut key = canonical_key(module, id);
     key.push_str("\n--context--\nself ");
     key.push_str(func.effects.mnemonic());
     key.push('\n');
@@ -150,9 +190,10 @@ pub(crate) fn store_key_from(
 pub struct RolledBody {
     /// The rolled function (donor value/type/global/function id spaces).
     func: Function,
-    /// Snapshot of the donor module's type store (shared across the
-    /// entries captured from one request).
-    types: Arc<TypeStore>,
+    /// The donor module's type store, shared by every entry its worker
+    /// captured. Set once the worker finishes: types only ever append, so
+    /// every id captured earlier stays valid in the final store.
+    types: Arc<OnceLock<TypeStore>>,
     /// Pre-existing globals the body references: donor id → name. The key
     /// guarantees a hit's module defines each name identically.
     base_globals: Vec<(GlobalId, String)>,
@@ -179,33 +220,33 @@ pub struct StoreEntry {
 }
 
 impl StoreEntry {
-    /// Captures a replayable entry for `id` from a *merged* module (the
-    /// function already holds its final body and global references).
-    /// `minted` are the globals the roll created for this function, in
-    /// minting order; `rolled` distinguishes a committed roll from a
-    /// no-change run.
+    /// Captures a replayable entry for `id` right after rolling it in the
+    /// donor `module`. Globals from index `first_new_global` on are the
+    /// ones the roll minted; `types` is the slot the donor's type store
+    /// moves into once the donor is done rolling.
     pub(crate) fn capture(
         module: &Module,
         id: FuncId,
-        minted: &[GlobalId],
-        rolled: bool,
+        first_new_global: usize,
         stats: RolagStats,
-        types: &Arc<TypeStore>,
+        types: &Arc<OnceLock<TypeStore>>,
     ) -> StoreEntry {
-        if !rolled {
+        let minted = first_new_global..module.num_globals();
+        if stats.rolled == 0 && minted.is_empty() {
             return StoreEntry { body: None, stats };
         }
         let func = module.func(id).clone();
         let (globals, funcs) = referenced_symbols(&func);
-        let minted_set: HashSet<GlobalId> = minted.iter().copied().collect();
         let base_globals = globals
             .iter()
-            .filter(|g| !minted_set.contains(g))
+            .filter(|g| g.index() < first_new_global)
             .map(|&g| (g, module.global(g).name.clone()))
             .collect();
         let new_globals = minted
-            .iter()
-            .map(|&g| (g, module.global(g).clone()))
+            .map(|g| {
+                let g = GlobalId::from_index(g);
+                (g, module.global(g).clone())
+            })
             .collect();
         let callees = funcs
             .iter()
@@ -234,7 +275,8 @@ impl StoreEntry {
         let Some(body) = &self.body else {
             return false;
         };
-        let type_map = module.types.absorb(&body.types, 0);
+        let types = body.types.get().expect("donor type store is published");
+        let type_map = module.types.absorb(types, 0);
         let identity = type_map.iter().enumerate().all(|(i, t)| t.index() == i);
         let mut func = body.func.clone();
 
@@ -560,6 +602,23 @@ mod tests {
         store.insert("after".into(), entry(2));
         assert_eq!(store.get("after").unwrap().stats.attempted, 2);
         assert_eq!(store.len(), 2);
+    }
+
+    #[test]
+    fn own_name_normalization_is_token_exact() {
+        let s = "func @f(i32 %p0) -> void {\n  call @f2(%p0)\n  call @f(%p0)\n";
+        let n = normalize_own_name(s, "f");
+        assert!(n.contains("@f2"), "prefix symbol must survive");
+        assert!(n.contains("@\u{1}self"), "own tokens replaced");
+        assert!(!n.contains("call @f("), "own call site normalized");
+    }
+
+    #[test]
+    fn name_prefix_strips_counters() {
+        assert_eq!(name_prefix("rolag.cdata.17"), "rolag.cdata");
+        assert_eq!(name_prefix("rolag.cdata"), "rolag.cdata");
+        assert_eq!(name_prefix("plain"), "plain");
+        assert_eq!(name_prefix("dotted.name"), "dotted.name");
     }
 
     #[test]

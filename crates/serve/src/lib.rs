@@ -2,7 +2,7 @@
 //!
 //! A persistent compilation service for the RoLAG IR: a long-lived daemon
 //! that accepts streams of textual-IR modules — over a unix socket or as
-//! a stdin batch — rolls them through the parallel memoizing driver, and
+//! a stdin batch — rolls them through the parallel module driver, and
 //! **content-addresses every function** so structurally identical code
 //! arriving from different clients (or different requests of the same
 //! client) compiles exactly once.
@@ -22,10 +22,12 @@
 //! The cache is keyed by the *closure key* of [`rolag::store_key`]:
 //! canonical function text plus the printed definitions of every
 //! referenced global, the signature/effects of every callee, and the
-//! options fingerprint. A hit therefore guarantees the cached rolled body
-//! is byte-identical to what rolling the request cold would produce —
-//! the property `tests/serve_determinism.rs` pins over the repro corpus
-//! and a generator sweep.
+//! options fingerprint. It is the same key the driver groups each module
+//! by, and a hit is spliced through the same `StoreEntry::replay` as a
+//! fresh roll or an in-module duplicate. A hit therefore guarantees the
+//! cached rolled body is byte-identical to what rolling the request cold
+//! would produce — the property `tests/serve_determinism.rs` pins over the
+//! repro corpus and a generator sweep.
 //!
 //! ```
 //! use rolag_serve::{Server, ServerConfig};

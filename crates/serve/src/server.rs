@@ -12,7 +12,7 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
-use rolag::{roll_module_par_with, DriverOptions, DriverReport, MemoStore, MemoStoreStats};
+use rolag::{roll_module_par_with, DriverReport, MemoStore, MemoStoreStats};
 use rolag_ir::parser::parse_module;
 use rolag_ir::printer::print_module;
 use rolag_ir::verify::verify_module;
@@ -243,13 +243,8 @@ impl Server {
             parse_module(text).map_err(|e| format!("{}:{}: {}", e.line, e.col, e.message))?;
         verify_module(&module)
             .map_err(|errors| format!("module does not verify: {}", errors[0]))?;
-        let report = roll_module_par_with(
-            &mut module,
-            &opts,
-            &DriverOptions::default(),
-            Some(&self.pool),
-            Some(&self.store),
-        );
+        let report =
+            roll_module_par_with(&mut module, &opts, 0, Some(&self.pool), Some(&self.store));
         Ok((print_module(&module), report))
     }
 

@@ -1,42 +1,73 @@
-//! Integration tests for the parallel memoizing module driver
+//! Integration tests for the parallel module driver
 //! (`rolag::roll_module_par`): on whole benchmark suites the driver must
-//! produce byte-identical modules and identical statistics to the serial
-//! pass for every worker count, with or without memoization — and cached
-//! results must stay behaviourally equivalent under the interpreter.
+//! produce byte-identical modules — printed and binary-encoded — and
+//! identical statistics to the serial pass for every worker count, and
+//! replayed duplicates must stay behaviourally equivalent under the
+//! interpreter.
 
-use rolag::{roll_module, roll_module_par, DriverOptions, RolagOptions};
+use rolag::{roll_module, roll_module_par, RolagOptions};
 use rolag_ir::interp::{check_equivalence, IValue, Interpreter};
+use rolag_ir::parser::parse_module;
 use rolag_ir::printer::print_module;
 use rolag_ir::verify::verify_module;
-use rolag_ir::Module;
+use rolag_ir::{encode_module, Module};
 use rolag_prng::{check::run_cases, ChaCha8Rng, Rng, SeedableRng};
 use rolag_suites::angha::{build_pattern, PatternKind};
 use rolag_suites::tsvc::build_suite_module;
 
-/// Rolls `module` serially and through the driver at several worker counts,
-/// asserting byte-identical output and equal stats each time.
-fn assert_parallel_matches_serial(module: &Module) {
+/// Rolls `module` serially, then through the driver `repeats` times at
+/// several worker counts, asserting byte-identical printed and encoded
+/// output and equal stats each time.
+fn assert_parallel_matches_serial(module: &Module, repeats: usize) {
     let opts = RolagOptions::default();
     let mut serial = module.clone();
     let serial_stats = roll_module(&mut serial, &opts);
     let serial_text = print_module(&serial);
+    let serial_bytes = encode_module(&serial);
 
-    for jobs in [0usize, 2, 3] {
-        for memoize in [false, true] {
+    for run in 0..repeats {
+        for jobs in [0usize, 2, 3] {
             let mut par = module.clone();
-            let report = roll_module_par(&mut par, &opts, &DriverOptions { jobs, memoize });
+            let report = roll_module_par(&mut par, &opts, jobs);
             verify_module(&par).expect("driver output verifies");
             assert_eq!(
                 print_module(&par),
                 serial_text,
-                "module bytes diverged (jobs={jobs}, memoize={memoize})"
+                "module bytes diverged (jobs={jobs}, run {run})"
+            );
+            assert!(
+                encode_module(&par) == serial_bytes,
+                "binary output diverged (jobs={jobs}, run {run})"
             );
             assert_eq!(
                 report.stats, serial_stats,
-                "stats diverged (jobs={jobs}, memoize={memoize})"
+                "stats diverged (jobs={jobs}, run {run})"
             );
         }
     }
+}
+
+/// Eight functions, each storing 10–17 irregular `i16`/`i32`/`i64`
+/// constants into its own `[64 x T]` global. Each roll mints a constant
+/// array of a type no other function uses, so the type stores of workers
+/// that rolled different functions differ in content and order.
+fn constant_table_module() -> Module {
+    let mut text = String::from("module \"tables\"\n");
+    for f in 0..8usize {
+        let ty = ["i16", "i32", "i64"][f % 3];
+        text.push_str(&format!("global @t{f} : [64 x {ty}] = zero\n"));
+    }
+    for f in 0..8usize {
+        let ty = ["i16", "i32", "i64"][f % 3];
+        text.push_str(&format!("func @fill{f}() -> void {{\nentry:\n"));
+        for i in 0..10 + f {
+            let value = (i * i * 37 + f * 11) % 997;
+            text.push_str(&format!("  %g{i} = gep {ty}, @t{f}, i64 {i}\n"));
+            text.push_str(&format!("  store {ty} {value}, %g{i}\n"));
+        }
+        text.push_str("  ret\n}\n");
+    }
+    parse_module(&text).expect("fixture parses")
 }
 
 /// Deterministic per-signature arguments, mirroring `rolag-opt`'s
@@ -70,7 +101,7 @@ fn default_args(module: &Module, entry: &str) -> Vec<IValue> {
 /// serial pass at every parallelism level.
 #[test]
 fn driver_matches_serial_on_tsvc_suite() {
-    assert_parallel_matches_serial(&build_suite_module());
+    assert_parallel_matches_serial(&build_suite_module(), 1);
 }
 
 /// A multi-function AnghaBench-like module mixing every pattern family.
@@ -83,13 +114,32 @@ fn driver_matches_serial_on_angha_module() {
         build_pattern(&mut m, &mut rng, kinds[i % kinds.len()], i);
     }
     verify_module(&m).expect("generated module verifies");
-    assert_parallel_matches_serial(&m);
+    assert_parallel_matches_serial(&m, 1);
 }
 
-/// Randomized cache-equivalence property: duplicate every function of a
-/// random module under a fresh name, roll with memoization on (so the
-/// duplicates are served from the structural-hash cache), and check each
-/// entry point is observationally unchanged under the interpreter.
+/// The binary encoding of the driver's output must not depend on the
+/// worker count or on which worker rolled which function: repeated runs
+/// at every worker count encode to the serial roll's bytes, both on the
+/// constant-table fixture and on the TSVC suite.
+#[test]
+fn binary_output_is_independent_of_worker_count() {
+    let tables = constant_table_module();
+    let mut rolled = tables.clone();
+    let stats = roll_module(&mut rolled, &RolagOptions::default());
+    assert!(stats.rolled >= 6, "the fixture must roll: {stats:?}");
+    assert_eq!(
+        rolled.num_globals() as u64,
+        8 + stats.rolled,
+        "every roll mints a constant table"
+    );
+    assert_parallel_matches_serial(&tables, 16);
+    assert_parallel_matches_serial(&build_suite_module(), 2);
+}
+
+/// Randomized replay-equivalence property: duplicate every function of a
+/// random module under a fresh name, roll through the driver (so each
+/// duplicate replays its original's roll), and check each entry point is
+/// observationally unchanged under the interpreter.
 #[test]
 fn memoized_duplicates_preserve_behaviour() {
     run_cases(
@@ -122,14 +172,7 @@ fn memoized_duplicates_preserve_behaviour() {
             verify_module(&m).expect("duplicated module verifies");
 
             let original = m.clone();
-            let report = roll_module_par(
-                &mut m,
-                &RolagOptions::default(),
-                &DriverOptions {
-                    jobs: 2,
-                    memoize: true,
-                },
-            );
+            let report = roll_module_par(&mut m, &RolagOptions::default(), 2);
             verify_module(&m).expect("rolled module verifies");
             assert!(
                 report.cache_hits >= dups as u64,

@@ -9,7 +9,8 @@
 //! [`Server`] and comparing the second (store-served) response against
 //! both the first response and a direct, store-less driver roll.
 
-use rolag::{roll_module_par_with, DriverOptions, RolagOptions};
+use rolag::{roll_module, roll_module_par_with, MemoStore, RolagOptions};
+use rolag_ir::encode_module;
 use rolag_ir::parser::parse_module;
 use rolag_ir::printer::print_module;
 use rolag_serve::json::{parse, Json};
@@ -55,7 +56,7 @@ fn counter(doc: &Json, section: &str, key: &str) -> f64 {
 /// the reference the service output must match byte for byte.
 fn direct_roll(text: &str, opts: &RolagOptions) -> String {
     let mut module = parse_module(text).expect("corpus parses");
-    roll_module_par_with(&mut module, opts, &DriverOptions::default(), None, None);
+    roll_module_par_with(&mut module, opts, 0, None, None);
     print_module(&module)
 }
 
@@ -131,6 +132,36 @@ fn generator_sweep_replays_byte_identical() {
         "duplicated sweep must hit: {:?}",
         snap.store
     );
+}
+
+/// Store replay is byte-identical in the binary encoding too, which also
+/// carries what the printer leaves out (effects annotations of
+/// definitions, dead arena entries): the TSVC suite and a generator slice,
+/// each rolled into a shared store and then replayed from it, encode to
+/// the same bytes as a cold serial roll.
+#[test]
+fn store_replayed_binary_matches_cold_roll() {
+    const SEED: u64 = 0x0de7_e121;
+    let opts = RolagOptions::default();
+    let store = MemoStore::new(4096);
+    let mut texts = vec![print_module(&rolag_suites::tsvc::build_suite_module())];
+    texts.extend((0..32).map(|index| rolag_difftest::gen::generate(SEED, index)));
+    for (i, text) in texts.iter().enumerate() {
+        let mut cold = parse_module(text).expect("corpus parses");
+        roll_module(&mut cold, &opts);
+        let cold_bytes = encode_module(&cold);
+        for pass in ["first", "replay"] {
+            let mut module = parse_module(text).expect("corpus parses");
+            let report = roll_module_par_with(&mut module, &opts, 2, None, Some(&store));
+            if pass == "replay" {
+                assert_eq!(report.store_hits, report.functions as u64, "module {i}");
+            }
+            assert!(
+                encode_module(&module) == cold_bytes,
+                "module {i}: {pass} binary output diverged from the cold roll"
+            );
+        }
+    }
 }
 
 /// The replay contract holds under the expensive presets too — a store
